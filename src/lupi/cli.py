@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -39,7 +38,7 @@ from .solvers import (
     sequential_solve,
     solve_ne,
 )
-from .winprob import expected_payoff, symmetric_payoff, win_prob_vector
+from .winprob import PrefixChance, expected_payoff, symmetric_payoff, win_prob_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -340,22 +339,18 @@ def cmd_figure(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _figure_traces(args: argparse.Namespace, cfg: RunConfig) -> int:
     """Win-chance traces c_i over candidate p_i, prefix fixed by the chain."""
-    from .winprob import _ci_raw_grid
-
     n, c0, depth, points = args.n, args.c0, args.depth, args.points
     if not 0.0 < c0 < 1.0:
         raise CliError(f"--c0 must lie in (0, 1), got {c0}")
     result = sequential_solve(n, c0, depth, cap=cfg.subset_cap)
     rows: list[list[object]] = []
-    prefix: list[float] = []
+    chance = PrefixChance(n, cfg.subset_cap)
     for entry in result.entries:
-        upper = 1.0 - math.fsum(prefix)
-        grid = upper * np.arange(1, points + 1) / (points + 1)
-        values = _ci_raw_grid(entry.i, np.array(prefix), grid, n, cfg.subset_cap)
-        rows.extend([entry.i, float(x), float(v)] for x, v in zip(grid, values))
+        grid = chance.rest * np.arange(1, points + 1) / (points + 1)
+        rows.extend([entry.i, float(x), float(v)] for x, v in zip(grid, chance(grid)))
         if entry.p_i is None:
             break
-        prefix.append(entry.p_i)
+        chance.fix(entry.p_i)
     _emit(_csv(["i", "p", "c_i"], rows), cfg)
     return EXIT_OK
 
@@ -459,10 +454,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = RunConfig.from_args(args)
         return args.func(args, cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ResourceLimitError) as exc:
+    except (CliError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonConvergence, ClassificationError) as exc:

@@ -38,8 +38,8 @@ def n_max_symbolic(override: int | None = None) -> int:
 
 
 def subset_cap(override: int | None = None) -> int:
-    """Largest subset-enumeration size (number index minus one) for the
-    closed-form win-probability evaluator."""
+    """Largest number index minus one accepted by the closed-form
+    win-probability evaluator (its subset sum has 2^(i-1) terms)."""
     if override is not None:
         return override
     return _env_int("LUPI_SUBSET_CAP", SUBSET_CAP_DEFAULT)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import NE_PLAYER_CAP_DEFAULT, ResourceLimitError
 from .game import Strategy
-from .winprob import _c_matrix_raw, _c_vector_raw, _ci_gradient_raw, _ci_raw, _ci_raw_grid
+from .winprob import PrefixChance, _check_cap, _kernel
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -201,16 +201,17 @@ def solve_ne(
         e = np.exp(logits - logits.max())
         return e / e.sum()
 
+    _check_cap(n, cap)
     z = np.zeros(n - 1)
     p = strategy_of(z)
-    c = _c_vector_raw(p, n, cap)
+    c = _kernel(p, n, n)
     f = c[:-1] - c[-1]
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if np.max(np.abs(f)) <= tol:
             iterations -= 1
             break
-        jac_p = np.array([_ci_gradient_raw(i, p, n, cap) for i in range(1, n + 1)])
+        _, jac_p = _kernel(p, n, n, jacobian=n)
         # chain rule through the softmax: dp_r/dz_k = p_r (delta_rk - p_k)
         dp_dz = np.diag(p)[:, : n - 1] - np.outer(p, p[: n - 1])
         jac_f = (jac_p[:-1] - jac_p[-1]) @ dp_dz
@@ -224,7 +225,7 @@ def solve_ne(
         while scale > 2.0**-30:
             z_new = z + scale * step
             p_new = strategy_of(z_new)
-            c_new = _c_vector_raw(p_new, n, cap)
+            c_new = _kernel(p_new, n, n)
             f_new = c_new[:-1] - c_new[-1]
             if float(np.linalg.norm(f_new)) < norm0:
                 z, p, c, f = z_new, p_new, c_new, f_new
@@ -288,15 +289,14 @@ def _refine_extremum(func, a: float, b: float, minimize: bool) -> tuple[float, f
     return d, sign * fd
 
 
-def _first_root(
-    scalar_f, grid_f, upper: float, grid_points: int
-) -> tuple[float | None, float, bool]:
+def _first_root(f, upper: float, grid_points: int) -> tuple[float | None, float, bool]:
     """First root of ``f`` on the open interval ``(0, upper)``.
 
-    Scans an equally spaced interior grid for a sign change and bisects the
-    first one (the smallest root). With no sign change on the grid, the
-    extremum nearest zero is polished by golden section: near-tangent
-    crossings dip below the grid resolution and would otherwise be missed.
+    ``f`` takes an array of points or a float. Scans an equally spaced
+    interior grid for a sign change and bisects the first one (the smallest
+    root). With no sign change on the grid, the extremum nearest zero is
+    polished by golden section: near-tangent crossings dip below the grid
+    resolution and would otherwise be missed.
 
     Returns ``(root, residual, all_negative)`` where ``root`` is ``None``
     when no real crossing exists; ``residual`` is then the smallest ``|f|``
@@ -304,7 +304,7 @@ def _first_root(
     zero the function stayed on.
     """
     xs = upper * np.arange(1, grid_points + 1) / (grid_points + 1)
-    fs = grid_f(xs)
+    fs = f(xs)
 
     exact = np.flatnonzero(fs == 0.0)
     change = np.flatnonzero(fs[:-1] * fs[1:] < 0.0)
@@ -312,26 +312,22 @@ def _first_root(
     first_change = int(change[0]) if change.size else None
     if first_exact is not None and (first_change is None or first_exact <= first_change):
         x = float(xs[first_exact])
-        return x, abs(scalar_f(x)), False
+        return x, abs(f(x)), False
     if first_change is not None:
         k = first_change
-        root = _bisect_root(scalar_f, float(xs[k]), float(xs[k + 1]), float(fs[k]))
-        return root, abs(scalar_f(root)), False
+        root = _bisect_root(f, float(xs[k]), float(xs[k + 1]), float(fs[k]))
+        return root, abs(f(root)), False
 
     positive = bool(fs[0] > 0.0)
     k = int(np.argmin(np.abs(fs)))
     a = float(xs[k - 1]) if k > 0 else 0.0
     b = float(xs[k + 1]) if k < grid_points - 1 else upper
-    x_star, f_star = _refine_extremum(scalar_f, a, b, minimize=positive)
-    if positive and f_star < 0.0:
-        # hidden dip: the first crossing sits just left of the refined point
+    x_star, f_star = _refine_extremum(f, a, b, minimize=positive)
+    if (positive and f_star < 0.0) or (not positive and f_star > 0.0):
+        # hidden dip or bump: the first crossing sits just left of the refined point
         left = float(xs[k - 1]) if k > 0 else a
-        root = _bisect_root(scalar_f, left, x_star, scalar_f(left))
-        return root, abs(scalar_f(root)), False
-    if not positive and f_star > 0.0:
-        left = float(xs[k - 1]) if k > 0 else a
-        root = _bisect_root(scalar_f, left, x_star, scalar_f(left))
-        return root, abs(scalar_f(root)), False
+        root = _bisect_root(f, left, x_star, f(left))
+        return root, abs(f(root)), False
     residual = min(abs(f_star), float(np.min(np.abs(fs))))
     return None, residual, not positive
 
@@ -340,40 +336,25 @@ def _first_root(
 class _ChainState:
     """Internal outcome of one sequential chain run."""
 
+    chance: PrefixChance  # its prefix holds the solved p_1, p_2, ...
     entries: list[SequentialEntry] = field(default_factory=list)
-    prefix: list[float] = field(default_factory=list)
     all_negative: bool = False  # set when the failing index stayed below c0
 
 
 def _run_chain(n: int, c0: float, depth: int, grid_points: int, cap: int | None) -> _ChainState:
-    state = _ChainState()
+    chance = PrefixChance(n, cap)
+    state = _ChainState(chance)
     p1 = 1.0 - c0 ** (1.0 / (n - 1))
-    arr = np.zeros(n)
-    arr[0] = p1
-    state.entries.append(
-        SequentialEntry(1, p1, REAL_ROOT, abs(_ci_raw(1, arr, n, cap) - c0))
-    )
-    state.prefix.append(p1)
+    state.entries.append(SequentialEntry(1, p1, REAL_ROOT, abs(chance(p1) - c0)))
+    chance.fix(p1)
     for i in range(2, depth + 1):
-        upper = 1.0 - math.fsum(state.prefix)
-        prefix = np.array(state.prefix)
-
-        def scalar_f(x: float, i=i, prefix=prefix) -> float:
-            probe = np.zeros(n)
-            probe[: i - 1] = prefix
-            probe[i - 1] = x
-            return _ci_raw(i, probe, n, cap) - c0
-
-        def grid_f(xs: np.ndarray, i=i, prefix=prefix) -> np.ndarray:
-            return _ci_raw_grid(i, prefix, xs, n, cap) - c0
-
-        root, residual, all_neg = _first_root(scalar_f, grid_f, upper, grid_points)
+        root, residual, all_neg = _first_root(lambda x: chance(x) - c0, chance.rest, grid_points)
         if root is None:
             state.entries.append(SequentialEntry(i, None, NO_REAL_ROOT, residual))
             state.all_negative = all_neg
             break
         state.entries.append(SequentialEntry(i, root, REAL_ROOT, residual))
-        state.prefix.append(root)
+        chance.fix(root)
     return state
 
 
@@ -408,7 +389,7 @@ def sequential_solve(
         raise ValueError(f"depth {depth} outside 1..{n}")
     state = _run_chain(n, float(c0), depth, grid_points, cap)
     return SequentialResult(
-        c0=float(c0), entries=state.entries, prefix_sum=math.fsum(state.prefix)
+        c0=float(c0), entries=state.entries, prefix_sum=math.fsum(state.chance.prefix)
     )
 
 
@@ -424,8 +405,8 @@ def _classify_incomplete(state: _ChainState, n: int) -> str:
     """
     if state.all_negative:
         return "large"
-    j = len(state.prefix)
-    feasibility = math.fsum(state.prefix) + (n - j) * state.prefix[-1] - 1.0
+    j = len(state.chance.prefix)
+    feasibility = math.fsum(state.chance.prefix) + (n - j) * state.chance.prefix[-1] - 1.0
     return "small" if feasibility >= 0.0 else "large"
 
 
@@ -459,11 +440,11 @@ def find_cne_sequential(
     for iterations in range(1, max_bisections + 1):
         mid = 0.5 * (lo + hi)
         state = _run_chain(n, mid, n, grid_points, cap)
-        if len(state.prefix) == n:
-            total = math.fsum(state.prefix)
+        if len(state.chance.prefix) == n:
+            total = math.fsum(state.chance.prefix)
             err = abs(total - 1.0)
             if best is None or err < best[0]:
-                best = (err, mid, list(state.prefix))
+                best = (err, mid, list(state.chance.prefix))
             if err <= tol:
                 break
             side = "small" if total > 1.0 else "large"
@@ -517,12 +498,12 @@ def bound_c0(
         return _run_chain(n, c0, depth, grid_points, cap)
 
     def exists(c0: float) -> bool:
-        return len(chain(c0).prefix) == depth
+        return len(chain(c0).chance.prefix) == depth
 
     def tail_feasible(c0: float) -> bool:
         state = chain(c0)
-        j = len(state.prefix)
-        return math.fsum(state.prefix) + (n - j) * state.prefix[-1] >= 1.0
+        j = len(state.chance.prefix)
+        return math.fsum(state.chance.prefix) + (n - j) * state.chance.prefix[-1] >= 1.0
 
     scan = np.linspace(0.01, 0.95, 48)
 
@@ -590,59 +571,49 @@ def _project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _symmetric_payoff_raw(probs: np.ndarray, n: int, cap: int | None) -> float:
-    c = _c_vector_raw(probs, n, cap)
-    return math.fsum(ci * qi for ci, qi in zip(c, probs))
-
-
 def best_symmetric(
     n: int,
     *,
     restarts: int = 10,
     max_steps: int = 500,
-    fd_step: float = 1e-7,
     seed: int = 20240917,
     cap: int | None = None,
 ) -> SymmetricOptimum:
     """Maximize the everyone-plays-it payoff over the probability simplex.
 
-    Projected-gradient ascent with central-difference gradients, multi-start
-    from the uniform strategy plus ``restarts`` seeded random interior
-    points. This is a confirmation tool, not an equilibrium: the maximizer
-    is the uniform strategy, which no self-interested player sticks to.
+    Projected-gradient ascent on the analytic gradient ``c + J^T p`` of
+    ``W(p) = sum_i p_i c_i(p)``, multi-start from the uniform strategy plus
+    ``restarts`` seeded random interior points. This is a confirmation
+    tool, not an equilibrium: the maximizer is the uniform strategy, which
+    no self-interested player sticks to.
     """
     if int(n) != n or n < 3:
         raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
+    _check_cap(n, cap)
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / n)]
     for _ in range(restarts):
         raw = rng.random(n) + 0.1
         starts.append(raw / raw.sum())
 
-    def payoff_batch(points: np.ndarray) -> np.ndarray:
-        c = _c_matrix_raw(points, n, cap)
-        return np.sum(c * points, axis=1)
+    def payoff(p: np.ndarray) -> float:
+        return float(_kernel(p, n, n) @ p)
 
     best_p: np.ndarray | None = None
     best_w = -math.inf
     total_steps = 0
     for p0 in starts:
         p = np.array(p0)
-        w = float(payoff_batch(p[None, :])[0])
+        w = payoff(p)
         step = 0.25
         for _ in range(max_steps):
             total_steps += 1
-            # central differences, all 2n probe points in one batch
-            probes = np.repeat(p[None, :], 2 * n, axis=0)
-            for j in range(n):
-                probes[2 * j, j] += fd_step
-                probes[2 * j + 1, j] -= fd_step
-            values = payoff_batch(probes)
-            grad = (values[0::2] - values[1::2]) / (2.0 * fd_step)
+            c, jac = _kernel(p, n, n, jacobian=n)
+            grad = c + jac.T @ p
             moved = False
             while step >= 1e-12:
                 candidate = _project_to_simplex(p + step * grad)
-                w_cand = float(payoff_batch(candidate[None, :])[0])
+                w_cand = payoff(candidate)
                 if w_cand > w + 1e-15:
                     displacement = float(np.max(np.abs(candidate - p)))
                     p, w = candidate, w_cand
@@ -655,7 +626,7 @@ def best_symmetric(
         if w > best_w:
             best_p, best_w = p, w
     assert best_p is not None
-    best_w = _symmetric_payoff_raw(best_p, n, cap)  # report the compensated value
+    best_w = math.fsum(_kernel(best_p, n, n) * best_p)  # report the compensated value
     return SymmetricOptimum(
         strategy=Strategy(best_p), w=best_w, starts=len(starts), iterations=total_steps
     )

@@ -1,29 +1,31 @@
 """Closed-form win probabilities, payoffs, and gradients.
 
 Scalable counterpart of the exact layer in :mod:`lupi.polynomials`. The
-chance that a focal player wins with number ``i``, when the other ``n - 1``
-players draw independently from ``p``, is an inclusion-exclusion sum over
-which numbers below ``i`` end up picked exactly once:
+chance that a focal player wins with number ``i``, when the other
+``N = n - 1`` players draw independently from ``p``, is the paper's
+inclusion-exclusion sum over which numbers below ``i`` end up picked
+exactly once:
 
     c_i(p) = sum over S subset of {1..i-1} of
              (-1)^|S| (n-1)(n-2)...(n-|S|) prod_{j in S} p_j
              (1 - p_i - sum_{j in S} p_j)^(n-1-|S|)
 
-The falling factorial counts the ordered assignments of distinct opponents
-to the uniquely picked numbers in ``S``; the power is the mass left to the
-remaining opponents once ``S`` and ``i`` are excluded. The sum has
-``2^(i-1)`` terms but no dependence on ``n`` beyond arithmetic, so small
-``i`` works for arbitrarily large games. This closed form is not taken on
-faith: the test suite derives it against the exact polynomial layer and the
-enumeration oracle before anything else trusts it.
-
-Terms alternate in sign, so sums are accumulated with ``math.fsum``
-(exactly rounded compensated summation) over fixed-shape blocks; results do
-not depend on how blocks would be scheduled across workers.
+That sum expands ``c_i = N! [x^N] prod_{j<i} (e^(p_j x) - p_j x) e^(T_i x)``,
+``T_i = 1 - p_1 - ... - p_i``. The product form's table
+``F_j[m] = sum_{k != 1} C(m, k) p_j^k F_{j-1}[m-k]`` is the chance that
+``m`` given opponents all pick from ``1..j`` with none of those numbers
+picked exactly once, and ``c_i = sum_m C(N, m) F_{i-1}[m] T_i^(N-m)``: its
+terms are nonnegative on the simplex, the whole vector costs ``O(n^3)``,
+and a reverse sweep over the same tables gives the Jacobian. Above
+``n = 1000``, where its binomial table would overflow, the subset sum
+(``2^(i-1)`` terms of alternating sign, ``math.fsum`` over fixed-shape
+blocks) is evaluated instead. Both are the same polynomial in the raw
+coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -36,6 +38,11 @@ from .game import Strategy
 # Subsets are enumerated in bitmask order, materialized in blocks of at most
 # 2^_BLOCK_BITS entries to keep memory flat at large indices.
 _BLOCK_BITS = 18
+
+# Largest n the product form serves: its table entries C(m, k) p^k and
+# k C(m, k) p^(k-1), m < n, p <= 1, stay below n 2^n, which is finite in
+# double precision up to n = 1014.
+_PRODUCT_N_MAX = 1000
 
 _INV_E = math.exp(-1.0)
 
@@ -136,148 +143,164 @@ def _check_cap(i: int, cap: int | None) -> None:
     limit = subset_cap(cap)
     if i - 1 > limit:
         raise ResourceLimitError(
-            f"win probability for number {i} enumerates 2^{i - 1} subsets, "
-            f"above the cap of 2^{limit}; raise LUPI_SUBSET_CAP to force it"
+            f"win probability for number {i} is above the cap i - 1 <= {limit}; "
+            f"raise LUPI_SUBSET_CAP to force it"
         )
 
 
-def _ci_raw(i: int, probs: np.ndarray, n: int, cap: int | None = None) -> float:
-    """The closed form at raw coordinates: no simplex validation.
-
-    Only ``probs[0..i-1]`` are read; the tail enters through the total mass
-    implied by ``1 - p_i - sum(S)``.
-    """
-    _check_cap(i, cap)
-    coef = _signed_falling(n, i - 1)
-    pi_val = float(probs[i - 1])
-    parts = []
-    for prod, total, size in _subset_blocks(probs[: i - 1]):
-        base = 1.0 - pi_val - total
-        term = coef[size] * prod * np.power(base, n - 1 - size)
-        parts.append(math.fsum(term))
-    return math.fsum(parts)
-
-
-def _ci_raw_grid(
-    i: int, prefix: np.ndarray, pi_values: np.ndarray, n: int, cap: int | None = None
-) -> np.ndarray:
-    """The closed form at many candidate values of ``p_i`` at once.
-
-    ``prefix`` holds ``p_1..p_{i-1}``. Used by the sequential solver for
-    sign scans; accuracy there is detection-grade, final roots are polished
-    with the scalar evaluator.
-    """
-    _check_cap(i, cap)
-    coef = _signed_falling(n, i - 1)
-    pts = np.asarray(pi_values, dtype=float)
-    out = np.zeros(pts.shape)
-    for prod, total, size in _subset_blocks(np.asarray(prefix, dtype=float)):
-        weight = (coef[size] * prod)[:, None]
-        expo = (n - 1 - size)[:, None]
-        # keep the (subsets x points) work matrix around 2^22 entries
-        chunk = max(1, (1 << 22) // max(1, prod.size))
-        for start in range(0, pts.size, chunk):
-            stop = min(start + chunk, pts.size)
-            base = 1.0 - total[:, None] - pts[None, start:stop]
-            out[start:stop] += np.sum(weight * np.power(base, expo), axis=0)
-    return out
-
-
-def _c_vector_raw(probs: np.ndarray, n: int, cap: int | None = None) -> np.ndarray:
-    """All of ``c_1..c_n`` at raw coordinates.
-
-    One subset table over the first ``n - 1`` entries serves every index:
-    the subsets of ``{1..i-1}`` are exactly the masks below ``2^(i-1)``, so
-    each ``c_i`` is a prefix slice. Falls back to per-index evaluation when
-    the table would not fit in one block.
-    """
-    _check_cap(n, cap)
-    if n - 1 > _BLOCK_BITS:
-        return np.array([_ci_raw(i, probs, n, cap) for i in range(1, n + 1)])
-    coef = _signed_falling(n, n - 1)
-    (prod, total, size), = _subset_blocks(np.asarray(probs[: n - 1], dtype=float))
-    out = np.empty(n)
-    for i in range(1, n + 1):
-        k = 1 << (i - 1)
-        base = 1.0 - float(probs[i - 1]) - total[:k]
-        term = coef[size[:k]] * prod[:k] * np.power(base, n - 1 - size[:k])
-        out[i - 1] = math.fsum(term)
-    return out
-
-
-def _c_matrix_raw(points: np.ndarray, n: int, cap: int | None = None) -> np.ndarray:
-    """All of ``c_1..c_n`` for a batch of raw coordinate vectors.
-
-    ``points`` has shape ``(k, n)``; returns the matching ``(k, n)`` matrix
-    of win chances. Summation here is pairwise (``np.sum``), which is
-    detection-grade: optimizer internals use this path, final reported
-    values go through the compensated scalar path.
-    """
-    pts = np.asarray(points, dtype=float)
-    k, width = pts.shape
-    if width != n:
-        raise ValueError(f"points have width {width}, expected {n}")
-    _check_cap(n, cap)
-    if n - 1 > _BLOCK_BITS or k * (1 << (n - 1)) > (1 << 24):
-        return np.array([_c_vector_raw(row, n, cap) for row in pts])
-    m = n - 1
-    size_lo = 1 << m
-    prod = np.ones((k, size_lo))
-    total = np.zeros((k, size_lo))
-    size = np.zeros(size_lo, dtype=np.int64)
-    for b in range(m):
-        half = 1 << b
-        w = pts[:, b : b + 1]
-        prod[:, half : 2 * half] = prod[:, :half] * w
-        total[:, half : 2 * half] = total[:, :half] + w
-        size[half : 2 * half] = size[:half] + 1
-    coef = _signed_falling(n, m)
-    out = np.empty((k, n))
-    for i in range(1, n + 1):
-        cols = 1 << (i - 1)
-        base = 1.0 - pts[:, i - 1 : i] - total[:, :cols]
-        expo = n - 1 - size[:cols]
-        out[:, i - 1] = np.sum(coef[size[:cols]] * prod[:, :cols] * np.power(base, expo), axis=1)
-    return out
-
-
-def _ci_gradient_raw(i: int, probs: np.ndarray, n: int, cap: int | None = None) -> np.ndarray:
-    """Gradient of the closed form at raw coordinates.
-
-    The expression references only ``p_1..p_i``, so entries ``j > i`` are
-    identically zero. Entry ``i`` differentiates the power factor; entries
-    ``j < i`` use the product rule over the subsets containing ``j``,
-    re-enumerated without ``j`` so no division by ``p_j`` is ever needed.
-    """
-    _check_cap(i, cap)
-    out = np.zeros(len(probs))
-    coef = _signed_falling(n, i - 1)
-    pi_val = float(probs[i - 1])
-    prefix = np.asarray(probs[: i - 1], dtype=float)
-
-    parts = []
+def _ci_subsets(prefix: np.ndarray, p_i, n: int):
+    """The inclusion-exclusion sum for ``c_i``, ``i = len(prefix) + 1``, at raw
+    coordinates ``p_1..p_{i-1} = prefix``: for one ``p_i`` summed with
+    ``math.fsum``, for an array of them (a sign scan) pairwise, in chunks of
+    about 2^22 terms."""
+    coef = _signed_falling(n, len(prefix))
+    x = np.asarray(p_i, dtype=float)
+    parts, out = [], np.zeros(x.size)
     for prod, total, size in _subset_blocks(prefix):
-        base = 1.0 - pi_val - total
-        factor = (n - 1 - size).astype(float)
-        expo = np.maximum(n - 2 - size, 0)  # factor is 0 where the clamp bites
-        parts.append(math.fsum(-coef[size] * prod * factor * np.power(base, expo)))
-    out[i - 1] = math.fsum(parts)
+        weight, expo = coef[size] * prod, n - 1 - size
+        if x.ndim == 0:
+            parts.append(math.fsum(weight * np.power(1.0 - p_i - total, expo)))
+            continue
+        chunk = max(1, (1 << 22) // prod.size)
+        for s in range(0, x.size, chunk):
+            base = 1.0 - x[s : s + chunk, None] - total
+            out[s : s + chunk] += (weight * np.power(base, expo)).sum(axis=1)
+    return math.fsum(parts) if x.ndim == 0 else out
 
-    for j in range(i - 1):
-        pj = float(prefix[j])
-        others = np.delete(prefix, j)
-        parts = []
-        for prod, total, size in _subset_blocks(others):
-            s = size + 1
-            base = 1.0 - pi_val - pj - total
-            factor = (n - 1 - s).astype(float)
-            expo = np.maximum(n - 2 - s, 0)
-            term = coef[s] * prod * (
-                np.power(base, n - 1 - s) - pj * factor * np.power(base, expo)
-            )
-            parts.append(math.fsum(term))
-        out[j] = math.fsum(parts)
-    return out
+
+def _ci_subsets_gradient(i: int, probs: np.ndarray, n: int) -> np.ndarray:
+    """Gradient of the subset sum for ``c_i`` in all ``n`` raw coordinates.
+
+    ``p_j``, ``j < i``, enters only the terms of the subsets ``S + {j}``,
+    through ``p_j (b_S - p_j)^(N-|S|-1)``, so its entry is a sum over the
+    subsets ``S`` without ``j``, in the same blocks: no division by ``p_j``.
+    """
+    coef = _signed_falling(n, i)
+    prefix = np.asarray(probs[: i - 1], dtype=float)
+    lo = min(i - 1, _BLOCK_BITS)
+    parts: list[list[float]] = [[] for _ in range(i)]
+    for block, (prod, total, size) in enumerate(_subset_blocks(prefix)):
+        base = 1.0 - float(probs[i - 1]) - total
+        expo = n - 1 - size  # a factor expo or expo - 1 is 0 where a clamp bites
+        through_base = -coef[size] * prod * expo * np.power(base, np.maximum(expo - 1, 0))
+        parts[i - 1].append(math.fsum(through_base))
+        masks = (block << lo) + np.arange(prod.size)
+        for j, pj in enumerate(prefix):
+            out = ((masks >> j) & 1) == 0
+            b, e = base[out] - pj, expo[out]
+            slope = np.power(b, e - 1) - (e - 1) * pj * np.power(b, np.maximum(e - 2, 0))
+            parts[j].append(math.fsum(coef[size[out] + 1] * prod[out] * slope))
+    return np.array([math.fsum(acc) for acc in parts] + [0.0] * (len(probs) - i))
+
+
+# ---------------------------------------------------------------------------
+# product form
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=4)
+def _product_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``C(N, m)``, and indexed ``[m, m']`` with ``k = m - m'``: ``C(m, k)``
+    and ``k C(m, k)`` (zero where ``k < 0`` or ``k = 1``), and ``k >= 0``."""
+    if n > _PRODUCT_N_MAX:
+        raise ResourceLimitError(
+            f"the product form serves n <= {_PRODUCT_N_MAX}, got n={n}: its "
+            f"binomial table would overflow double precision"
+        )
+    binom = np.zeros((n, n))
+    binom[:, 0] = 1.0
+    for m in range(1, n):
+        binom[m, 1 : m + 1] = binom[m - 1, :m] + binom[m - 1, 1 : m + 1]
+    rows = np.arange(n)[:, None]
+    k = np.maximum(rows - np.arange(n), 0)  # where m < m' the mask below zeroes it
+    coef = np.where((rows >= np.arange(n)) & (k != 1), binom[rows, k], 0.0)
+    slope = coef * k
+    for arr in (binom, coef, slope, k):
+        arr.flags.writeable = False
+    return binom[-1], coef, slope, k
+
+
+def _step(n: int, p: float) -> np.ndarray:
+    """Matrix of one table step ``F_j = W F_{j-1}``, ``p_j = p``: ``C(m, k) p^k``."""
+    _, coef, _, k = _product_constants(n)
+    return coef * np.power(p, np.arange(n))[k]
+
+
+def _kernel(probs: np.ndarray, n: int, upto: int, jacobian: int = 0):
+    """``c_1..c_upto`` at raw coordinates by the product form; with
+    ``jacobian = r``, also the ``(r, n)`` derivatives of the last ``r``.
+
+    With ``c_i = a_i . F_{i-1}``, ``a_i[m] = C(N, m) T_i^(N-m)``, entry
+    ``(i, j)`` is ``-a_i' . F_{i-1}`` for ``j <= i`` (through ``T_i``) plus,
+    for ``j < i``, the adjoint ``W_{j+1}^T ... W_{i-1}^T a_i`` dotted with
+    ``dW_j/dp_j F_{j-1}``; one reverse sweep carries one adjoint per
+    differentiated row. Row ``i`` of the values is the same to the bit for
+    every ``upto >= i``.
+    """
+    binom_n, _, slope, k = _product_constants(n)
+    expo = np.arange(n - 1, -1, -1)
+    tables = np.zeros((upto, n))
+    tables[0, 0] = 1.0
+    for j in range(1, upto):
+        tables[j] = _step(n, float(probs[j - 1])) @ tables[j - 1]
+    terms = [1.0, *(-v for v in np.asarray(probs[:upto], dtype=float).tolist())]
+    tails = np.array([[math.fsum(terms[: i + 1])] for i in range(1, upto + 1)])  # exactly rounded
+    weights = binom_n * np.power(tails, expo)
+    values = (weights * tables).sum(axis=1)
+    if not jacobian:
+        return values
+
+    first = upto - jacobian
+    # the factor expo is 0 where the clamped exponent differs from expo - 1
+    power = np.power(tails[first:], np.maximum(expo - 1, 0))
+    through_tail = (binom_n * expo * power * tables[first:]).sum(axis=1)
+    jac = -through_tail[:, None] * (np.arange(n) < np.arange(first + 1, upto + 1)[:, None])
+    adjoint = np.zeros((n, jacobian))
+    for j in range(upto - 1, 0, -1):
+        if j >= first:
+            adjoint[:, j - first] = weights[j]  # c_{j+1} = a_{j+1} . F_j joins the sweep
+        p = float(probs[j - 1])
+        lowered = np.concatenate(([0.0], np.power(p, np.arange(n - 1))))  # p^(k-1)
+        jac[:, j - 1] += adjoint.T @ ((slope * lowered[k]) @ tables[j - 1])
+        adjoint = _step(n, p).T @ adjoint
+    return values, jac
+
+
+class PrefixChance:
+    """Win chance of the next number as a function of its own probability.
+
+    With ``p_1..p_{i-1}`` fixed, ``c_i`` is the polynomial
+    ``sum_m C(N, m) F_{i-1}[m] (R - p_i)^(N-m)``, ``R = 1 - p_1 - ... -
+    p_{i-1}`` (:attr:`rest`, exactly rounded). Calling the object evaluates
+    it at candidate ``p_i`` (an array or a float) by Horner's rule in
+    ``R - p_i``, stable on ``[0, R]`` where every partial sum is
+    nonnegative; :meth:`fix` appends ``p_i`` and advances the table one
+    step. Above ``n = 1000`` the subset sum is evaluated instead.
+    """
+
+    def __init__(self, n: int, cap: int | None = None):
+        self.n, self.cap = n, cap
+        self.prefix: list[float] = []
+        self.rest = 1.0
+        self._table = np.eye(1, n)[0] if n <= _PRODUCT_N_MAX else None  # F_0
+        self._coef = [1.0] + [0.0] * (n - 1)  # C(N, m) F_{i-1}[m]
+
+    def __call__(self, p_i):
+        _check_cap(len(self.prefix) + 1, self.cap)
+        if self._table is None:
+            return _ci_subsets(np.array(self.prefix), p_i, self.n)
+        y, acc = self.rest - p_i, 0.0
+        for a in self._coef:
+            acc = acc * y + a
+        return acc
+
+    def fix(self, p_i: float) -> None:
+        """Fix ``p_i`` and move on to the next number."""
+        if self._table is not None:
+            self._table = _step(self.n, float(p_i)) @ self._table
+            self._coef = (_product_constants(self.n)[0] * self._table).tolist()
+        self.prefix.append(float(p_i))
+        self.rest = math.fsum([1.0, *(-v for v in self.prefix)])
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +311,22 @@ def _ci_gradient_raw(i: int, probs: np.ndarray, n: int, cap: int | None = None) 
 def win_prob(i: int, p: Strategy, *, cap: int | None = None) -> float:
     """Chance of winning with number ``i`` against ``n - 1`` players on ``p``.
 
-    Cost is ``O(2^(i-1))``; refuses ``i - 1`` above the subset cap
-    (default 25, env ``LUPI_SUBSET_CAP``).
+    Costs ``O(i n^2)`` by the product form, or ``O(2^(i-1))`` by the subset
+    sum above ``n = 1000``; refuses ``i - 1`` above the subset cap (default
+    25, env ``LUPI_SUBSET_CAP``).
     """
     _check_i(i, p.n)
-    return _ci_raw(i, p.probs, p.n, cap)
+    _check_cap(i, cap)
+    if p.n > _PRODUCT_N_MAX:
+        return _ci_subsets(p.probs[: i - 1], float(p.probs[i - 1]), p.n)
+    return float(_kernel(p.probs, p.n, i)[-1])
 
 
 def win_prob_vector(p: Strategy, *, cap: int | None = None) -> WinProbVector:
-    """All per-number win chances ``c_1..c_n`` for strategy ``p``."""
-    return WinProbVector(_c_vector_raw(p.probs, p.n, cap))
+    """All per-number win chances ``c_1..c_n`` for strategy ``p``, each equal
+    to the bit to :func:`win_prob`; by the product form, so ``n <= 1000``."""
+    _check_cap(p.n, cap)
+    return WinProbVector(_kernel(p.probs, p.n, p.n))
 
 
 def expected_payoff(pi: Strategy, p: Strategy, *, cap: int | None = None) -> PayoffReport:
@@ -329,7 +358,12 @@ def win_prob_gradient(i: int, p: Strategy, *, cap: int | None = None) -> np.ndar
     Derivatives are of the closed-form expression as written, without
     re-imposing the sum-to-one constraint; entries ``j > i`` are zero
     because the expression never references those coordinates. Simplex
-    tangential derivatives are a caller-side chain rule.
+    tangential derivatives are a caller-side chain rule. Like
+    :func:`win_prob`, they come from the product form (``O(i n^2)``) or,
+    above ``n = 1000``, from the subset sum.
     """
     _check_i(i, p.n)
-    return _ci_gradient_raw(i, p.probs, p.n, cap)
+    _check_cap(i, cap)
+    if p.n > _PRODUCT_N_MAX:
+        return _ci_subsets_gradient(i, p.probs, p.n)
+    return _kernel(p.probs, p.n, i, jacobian=1)[1][0]

@@ -12,6 +12,7 @@ from lupi import (
     Strategy,
     exact_win_prob,
     expected_payoff,
+    solve_ne,
     symmetric_payoff,
     uniform_asymptotic_win_prob,
     win_prob,
@@ -19,7 +20,18 @@ from lupi import (
     win_prob_poly,
     win_prob_vector,
 )
-from lupi.winprob import _ci_raw
+from lupi.winprob import (
+    _PRODUCT_N_MAX,
+    PrefixChance,
+    _ci_subsets,
+    _ci_subsets_gradient,
+    _kernel,
+    _product_constants,
+    _signed_falling,
+    _subset_blocks,
+)
+
+UNIT_ROUNDOFF = 2.0**-53
 
 SQRT3 = math.sqrt(3.0)
 NE3 = Strategy([2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3])
@@ -182,7 +194,7 @@ class TestVector:
 
     def test_matches_elementwise_calls(self):
         rng = np.random.default_rng(23)
-        for n in (3, 6, 11):
+        for n in (3, 6, 11, 20):
             s = random_strategy(rng, n)
             v = win_prob_vector(s).values
             for i in range(1, n + 1):
@@ -220,7 +232,7 @@ class TestGradient:
                         dn = x.copy()
                         up[j] += h
                         dn[j] -= h
-                        fd = (_ci_raw(i, up, n) - _ci_raw(i, dn, n)) / (2 * h)
+                        fd = (_kernel(up, n, i)[-1] - _kernel(dn, n, i)[-1]) / (2 * h)
                         assert abs(fd - g[j]) <= 1e-6
 
     def test_zero_beyond_own_number(self):
@@ -231,6 +243,154 @@ class TestGradient:
     def test_handles_zero_probabilities(self):
         g = win_prob_gradient(3, Strategy.zeng(4))
         assert np.all(np.isfinite(g))
+
+    def test_matches_jacobian_rows(self):
+        rng = np.random.default_rng(41)
+        for n in (6, 17, 40):
+            s = random_strategy(rng, n)
+            jac = _kernel(s.probs, n, n, jacobian=n)[1]
+            for i in range(1, n + 1):
+                scale = np.max(np.abs(jac[i - 1]))
+                assert np.max(np.abs(win_prob_gradient(i, s, cap=n) - jac[i - 1])) <= 1e-13 * scale
+
+    def test_subset_sum_gradient(self):
+        # the route above the product form's size limit: against the
+        # kernel's Jacobian off the simplex, where the subset sum's
+        # cancellation costs up to about 1e-12 relative
+        rng = np.random.default_rng(43)
+        for n in (5, 14):
+            x = random_strategy(rng, n).probs + rng.normal(0.0, 1e-3, n)
+            jac = _kernel(x, n, n, jacobian=n)[1]
+            for i in range(1, n + 1):
+                scale = np.max(np.abs(jac[i - 1]))
+                assert np.max(np.abs(_ci_subsets_gradient(i, x, n) - jac[i - 1])) <= 1e-11 * scale
+
+    def test_large_game_matches_central_differences(self):
+        # win_prob_gradient at n = 10^4 goes through the subset sum; central
+        # differences are off by their truncation error, about h^2 n^2
+        # relative since each derivative of c_i in p_j gains a factor ~ n
+        n, h = 10**4, 1e-7
+        s = random_strategy(np.random.default_rng(47), n)
+        for i in (1, 2, 5, 10):
+            g = win_prob_gradient(i, s)
+            assert np.all(g[i:] == 0.0)
+            for j in range(i):
+                up, dn = s.probs.copy(), s.probs.copy()
+                up[j] += h
+                dn[j] -= h
+                fd = (subsets(i, up, n) - subsets(i, dn, n)) / (2 * h)
+                assert abs(fd - g[j]) <= h * h * n * n * np.max(np.abs(g))
+
+
+def subsets(i, probs, n):
+    """``c_i`` by the inclusion-exclusion sum at raw coordinates."""
+    return _ci_subsets(probs[: i - 1], float(probs[i - 1]), n)
+
+
+def product_form_exact(probs, n):
+    """``c_1..c_n`` of the product form in rational arithmetic: the table
+    ``F_j[m] = sum_{k != 1} C(m, k) p_j^k F_{j-1}[m-k]`` and
+    ``c_i = sum_m C(N, m) F_{i-1}[m] T_i^(N-m)``, ``T_i = 1 - p_1 - ... - p_i``."""
+    big_n = n - 1
+    table = [Fraction(1)] + [Fraction(0)] * big_n
+    tail = Fraction(1)
+    out = []
+    for p in probs:
+        tail -= p
+        out.append(sum(math.comb(big_n, m) * f * tail ** (big_n - m) for m, f in enumerate(table)))
+        powers = [p**k for k in range(n)]
+        table = [
+            sum(math.comb(m, k) * powers[k] * table[m - k] for k in range(m + 1) if k != 1)
+            for m in range(n)
+        ]
+    return out
+
+
+def subset_sum_magnitude(i, probs, n):
+    """Sum of the absolute values of the inclusion-exclusion terms for c_i."""
+    coef = np.abs(_signed_falling(n, i - 1))
+    return sum(
+        float(np.sum(coef[size] * prod * np.power(1.0 - probs[i - 1] - total, n - 1 - size)))
+        for prod, total, size in _subset_blocks(probs[: i - 1])
+    )
+
+
+class TestProductForm:
+    @pytest.mark.parametrize("n", [20, 22, 24])
+    def test_matches_exact_rationals(self, n):
+        # Error bound from the operation count: each of the i - 1 table steps
+        # sums at most n nonnegative products of three factors (relative
+        # error (n + 3) u), and the final sum adds the power T^(N-m) of an
+        # exactly rounded T (N u) and n more terms, so the relative error
+        # of c_i stays below (i - 1)(n + 3) u + 2 n u <= 2 n^2 u.
+        rng = np.random.default_rng(2000 + n)
+        strategies = [random_strategy(rng, n) for _ in range(2)] + [Strategy.uniform(n)]
+        if n == 20:
+            strategies.append(solve_ne(20).strategy)
+        bound = 2 * n * n * UNIT_ROUNDOFF
+        for s in strategies:
+            exact = product_form_exact([Fraction(x) for x in s.probs.tolist()], n)
+            values = _kernel(s.probs, n, n)
+            for c, e in zip(values, exact):
+                assert abs(Fraction(float(c)) - e) <= bound * e
+
+    def test_route_follows_the_game_size(self):
+        # up to the size limit every number takes the product form, above it
+        # the subset sum, so c11 and the large-game checks run as before
+        s = random_strategy(np.random.default_rng(53), 40)
+        for i in (1, 4, 10, 40):
+            assert win_prob(i, s, cap=40) == _kernel(s.probs, 40, 40)[i - 1]
+        s = Strategy.uniform(10**4)
+        for i in (1, 4, 10, 20):
+            assert win_prob(i, s) == subsets(i, s.probs, 10**4)
+
+    @pytest.mark.parametrize("n", [30, 36, 40])
+    def test_subset_sum_agrees_at_moderate_n(self, n):
+        # the product form's error is 2 n^2 u relative; the subset sum's
+        # terms each carry a relative error of at most about
+        # (N - s)(s + 1) u / base <= n^2 u with bases above 1/4 here, and
+        # their cancellation (sum |term| up to 1e4 c_i) multiplies it
+        rng = np.random.default_rng(3000 + n)
+        for s in (random_strategy(rng, n), Strategy.uniform(n)):
+            product = _kernel(s.probs, n, 14)
+            for i in range(1, 15):
+                magnitude = subset_sum_magnitude(i, s.probs, n)
+                tol = n * n * UNIT_ROUNDOFF * (2 * product[i - 1] + magnitude)
+                assert abs(product[i - 1] - subsets(i, s.probs, n)) <= tol
+
+    @pytest.mark.parametrize("n", [9, 24, 200, 2000])
+    def test_prefix_chance_matches_win_prob(self, n):
+        # the chain's evaluator (Horner's rule in R - p_i, or the subset sum
+        # above the size limit, pairwise on arrays) against the scalar route,
+        # within the product form's 2 n^2 u; the subset sum at n = 2000 only
+        # reaches i = 4, where its cancellation is mild
+        rng = np.random.default_rng(4000 + n)
+        s = random_strategy(rng, n)
+        chance = PrefixChance(n)
+        for i in range(1, 5):
+            candidates = np.append(s.probs[i - 1], rng.random(7) * chance.rest)
+            for x, value in zip(candidates, chance(candidates)):
+                probs = s.probs.copy()
+                probs[i - 1] = x
+                ref = subsets(i, probs, n) if n > _PRODUCT_N_MAX else _kernel(probs, n, i)[-1]
+                assert abs(value - ref) <= 2 * n * n * UNIT_ROUNDOFF * ref
+                assert abs(chance(float(x)) - ref) <= 2 * n * n * UNIT_ROUNDOFF * ref
+            chance.fix(s.probs[i - 1])
+
+    def test_no_overflow_at_the_size_limit(self):
+        n = _PRODUCT_N_MAX
+        with pytest.raises(ResourceLimitError):
+            _product_constants(n + 1)
+        skewed = np.full(n, 0.001 / (n - 1))
+        skewed[0] = 0.999  # p near 1 makes C(m, k) p^k largest
+        for probs in (np.full(n, 1.0 / n), skewed):
+            values = _kernel(probs, n, 26)
+            assert np.all(np.isfinite(values)) and np.all((values >= 0.0) & (values <= 1.0))
+            for i in range(2, 7):
+                assert values[i - 1] == pytest.approx(subsets(i, probs, n), rel=1e-12)
+        _, jac = _kernel(skewed, n, 3, jacobian=3)
+        assert np.all(np.isfinite(jac))
+        assert np.all(np.isfinite(win_prob_gradient(26, Strategy(skewed))))
 
 
 class TestAsymptotics:
