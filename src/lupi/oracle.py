@@ -7,7 +7,9 @@ than the same code twice.
 The exact route enumerates occupancy vectors: how many opponents land on
 each number. Win-with-``i`` status depends only on those counts, so the sum
 runs over the ``C(2n-2, n-1)`` compositions of ``n - 1`` picks into ``n``
-numbers instead of the ``n^(n-1)`` labeled outcomes.
+numbers instead of the ``n^(n-1)`` labeled outcomes. The vectors and their
+multinomial counts are built once per ``n``, on first use, and kept in a
+small cache; each call selects the rows where ``i`` wins.
 
 The simulation route actually plays the game. Randomness comes from the
 counter-based Philox 4x64 generator with 10 rounds, keyed by the 128-bit
@@ -24,6 +26,7 @@ result over shards equals the single-threaded result for the same
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,36 +92,48 @@ def exact_win_prob(i: int, p: Strategy, *, max_players: int | None = None) -> fl
         )
     if int(i) != i or not 1 <= i <= n:
         raise ValueError(f"number index {i} outside 1..{n}")
+    i = int(i)
+    counts, ways = _occupancy_table(n)
+    keep = counts[:, i - 1] == 0
+    keep &= ~(counts[:, : i - 1] == 1).any(axis=1)
+    counts = counts[keep]
+    # every term is (ways * p_1^k_1 * ... * p_(n-1)^k_(n-1)) * p_n^k_n, left
+    # to right, with each power one scalar ``p_j ** k``; a skipped factor
+    # p_i^0 = 1.0 is exact, and fsum does not depend on the order of terms
     probs = p.probs
-    terms: list[float] = []
+    powers = np.array([[probs[j] ** k for k in range(n)] for j in range(n)])
+    weight = powers[0][counts[:, 0]]
+    for j in range(1, n - 1):
+        weight *= powers[j][counts[:, j]]
+    terms = ways[keep] * weight * powers[n - 1][counts[:, n - 1]]
+    return math.fsum(terms.tolist())
 
-    def descend(number: int, remaining: int, ways: int, weight: float) -> None:
-        # number is 0-based; ways carries the running multinomial count
-        if number == n - 1:
-            k = remaining
-            if (number == i - 1 and k != 0) or (number < i - 1 and k == 1):
-                return
-            if k and probs[number] == 0.0:
-                return
-            terms.append(ways * weight * probs[number] ** k)
-            return
-        if number == i - 1:
-            descend(number + 1, remaining, ways, weight)
-            return
-        for k in range(remaining + 1):
-            if number < i - 1 and k == 1:
-                continue
-            if k and probs[number] == 0.0:
-                continue
-            descend(
-                number + 1,
-                remaining - k,
-                ways * math.comb(remaining, k),
-                weight * probs[number] ** k,
-            )
 
-    descend(0, n - 1, 1, 1.0)
-    return math.fsum(terms)
+@functools.lru_cache(maxsize=4)
+def _occupancy_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every occupancy vector of ``n - 1`` picks over ``n`` numbers and its count.
+
+    Returns read-only ``(counts, ways)``: ``counts`` has one row per vector
+    (``C(2n-2, n-1)`` rows, ``n`` columns), ``ways`` the exact multinomial
+    ``(n-1)! / prod k_j!`` of each row. Built one number at a time: a
+    partial row with ``r`` picks left spawns one row per count ``k = 0..r``
+    of the next number, and its ways multiply by ``C(r, k)``.
+    """
+    binom = np.array([[math.comb(r, k) for k in range(n)] for r in range(n)], dtype=np.int64)
+    counts = np.zeros((1, 0), dtype=np.uint8)
+    remaining = np.array([n - 1])
+    ways = np.ones(1, dtype=np.int64)
+    for _ in range(n - 1):
+        spawn = remaining + 1
+        parent = np.repeat(np.arange(remaining.size), spawn)
+        k = np.arange(parent.size) - np.repeat(np.cumsum(spawn) - spawn, spawn)
+        counts = np.column_stack((counts[parent], k.astype(np.uint8)))
+        ways = ways[parent] * binom[remaining[parent], k]
+        remaining = remaining[parent] - k
+    counts = np.column_stack((counts, remaining.astype(np.uint8)))
+    counts.flags.writeable = False
+    ways.flags.writeable = False
+    return counts, ways
 
 
 def _round_winners(picks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,10 +144,8 @@ def _round_winners(picks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     meaningful only where ``has_winner`` is set.
     """
     block = picks.shape[0]
-    counts = np.zeros((block, n), dtype=np.int16)
-    rows = np.arange(block)
-    for col in range(picks.shape[1]):
-        counts[rows, picks[:, col]] += 1
+    cells = picks + n * np.arange(block)[:, None]  # one bin per (round, number)
+    counts = np.bincount(cells.ravel(), minlength=block * n).reshape(block, n)
     unique = counts == 1
     return unique.any(axis=1), unique.argmax(axis=1)
 

@@ -29,7 +29,7 @@ larger games belong to the closed-form evaluator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping
 
 from .config import ResourceLimitError, n_max_symbolic
@@ -62,6 +62,18 @@ class SparsePolynomial:
         self.nvars = int(nvars)
         self.terms = clean
 
+    @classmethod
+    def _of_clean_terms(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "SparsePolynomial":
+        """Wrap ``terms`` without the checks of ``__init__``.
+
+        For operator results only: every key must already be a length-``nvars``
+        tuple of non-negative ints and every value a nonzero ``Fraction``.
+        """
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -79,21 +91,29 @@ class SparsePolynomial:
     # -- ring arithmetic -------------------------------------------------
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return SparsePolynomial(self.nvars, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "SparsePolynomial", sign: int) -> "SparsePolynomial":
+        """``self + sign * other``; a coefficient that cancels is removed."""
         self._check_compatible(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) - c
-        return SparsePolynomial(self.nvars, out)
+            prev = out.get(exps)
+            if prev is None:
+                out[exps] = c if sign > 0 else -c
+                continue
+            total = prev + c if sign > 0 else prev - c
+            if total:
+                out[exps] = total
+            else:
+                del out[exps]
+        return SparsePolynomial._of_clean_terms(self.nvars, out)
 
     def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePolynomial._of_clean_terms(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def scale(self, factor) -> "SparsePolynomial":
         f = Fraction(factor)
@@ -145,14 +165,40 @@ class SparsePolynomial:
         vals = list(values)
         if len(vals) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(vals)}")
-        total = Fraction(0) if all(isinstance(v, (int, Fraction)) for v in vals) else 0.0
+        if all(isinstance(v, (int, Fraction)) for v in vals):
+            return self._evaluate_exact([Fraction(v) for v in vals])
+        total = 0.0
         for exps, coeff in self.terms.items():
-            term = coeff if isinstance(total, Fraction) else float(coeff)
+            term = float(coeff)
             for v, e in zip(vals, exps):
                 if e:
                     term = term * v**e
             total = total + term
         return total
+
+    def _evaluate_exact(self, vals: list[Fraction]) -> Fraction:
+        """Exact value as one integer sum over a common denominator.
+
+        With ``v_j = a_j / b_j`` and ``E_j`` the largest exponent of ``p_j``,
+        every monomial is ``prod a_j^e_j b_j^(E_j - e_j)`` over
+        ``L = prod b_j^E_j``. Numerators are summed per coefficient
+        denominator, and the sums are combined into one ``Fraction``.
+        """
+        top = [max((e[j] for e in self.terms), default=0) for j in range(self.nvars)]
+        scaled = [
+            [v.numerator**e * v.denominator ** (cap - e) for e in range(cap + 1)]
+            for v, cap in zip(vals, top)
+        ]
+        sums: dict[int, int] = {}
+        for exps, coeff in self.terms.items():
+            mono = coeff.numerator
+            for table, e in zip(scaled, exps):
+                mono *= table[e]
+            den = coeff.denominator
+            sums[den] = sums.get(den, 0) + mono
+        common = lcm(*sums)
+        numerator = sum(total * (common // den) for den, total in sums.items())
+        return Fraction(numerator, common * prod(table[0] for table in scaled))
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in graded lexicographic order: total degree first, ties broken
@@ -192,21 +238,22 @@ def differentiate(q: SparsePolynomial, i: int) -> SparsePolynomial:
     """Exact partial derivative with respect to ``p_i`` (1-based)."""
     _check_index(q.nvars, i)
     j = i - 1
-    out: dict[Exponents, Fraction] = {}
-    for exps, coeff in q.terms.items():
-        e = exps[j]
-        if e == 0:
-            continue
-        key = exps[:j] + (e - 1,) + exps[j + 1 :]
-        out[key] = out.get(key, Fraction(0)) + coeff * e
-    return SparsePolynomial(q.nvars, out)
+    # lowering the exponent of p_i maps distinct terms to distinct terms
+    out = {
+        exps[:j] + (exps[j] - 1,) + exps[j + 1 :]: coeff * exps[j]
+        for exps, coeff in q.terms.items()
+        if exps[j]
+    }
+    return SparsePolynomial._of_clean_terms(q.nvars, out)
 
 
 def eliminate(q: SparsePolynomial, i: int) -> SparsePolynomial:
     """Substitute ``p_i = 0``: drop every term containing ``p_i``."""
     _check_index(q.nvars, i)
     j = i - 1
-    return SparsePolynomial(q.nvars, {e: c for e, c in q.terms.items() if e[j] == 0})
+    return SparsePolynomial._of_clean_terms(
+        q.nvars, {e: c for e, c in q.terms.items() if e[j] == 0}
+    )
 
 
 def project_linear(q: SparsePolynomial, i: int) -> SparsePolynomial:
@@ -218,10 +265,8 @@ def project_linear(q: SparsePolynomial, i: int) -> SparsePolynomial:
     _check_index(q.nvars, i)
     j = i - 1
     reduced = eliminate(differentiate(q, i), i)
-    out = {}
-    for exps, coeff in reduced.terms.items():
-        out[exps[:j] + (1,) + exps[j + 1 :]] = coeff
-    return SparsePolynomial(q.nvars, out)
+    out = {exps[:j] + (1,) + exps[j + 1 :]: coeff for exps, coeff in reduced.terms.items()}
+    return SparsePolynomial._of_clean_terms(q.nvars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +299,7 @@ def opponents_outcome_poly(n: int, *, limit: int | None = None) -> SparsePolynom
         for e in exps:
             weight //= factorial(e)
         terms[exps] = Fraction(weight)
-    return SparsePolynomial(n, terms)
+    return SparsePolynomial._of_clean_terms(int(n), terms)
 
 
 def no_winner_poly(n: int, k: int, *, limit: int | None = None) -> SparsePolynomial:

@@ -293,10 +293,11 @@ def _first_root(f, upper: float, grid_points: int) -> tuple[float | None, float,
     """First root of ``f`` on the open interval ``(0, upper)``.
 
     ``f`` takes an array of points or a float. Scans an equally spaced
-    interior grid for a sign change and bisects the first one (the smallest
-    root). With no sign change on the grid, the extremum nearest zero is
-    polished by golden section: near-tangent crossings dip below the grid
-    resolution and would otherwise be missed.
+    interior grid, with ``f(0)`` in front of it, for a sign change and
+    bisects the first one (the smallest root). With no sign change, the
+    extremum nearest zero is polished by golden section: near-tangent
+    crossings dip below the grid resolution and would otherwise be missed.
+    Only a bracket whose ends differ in sign is bisected.
 
     Returns ``(root, residual, all_negative)`` where ``root`` is ``None``
     when no real crossing exists; ``residual`` is then the smallest ``|f|``
@@ -305,6 +306,11 @@ def _first_root(f, upper: float, grid_points: int) -> tuple[float | None, float,
     """
     xs = upper * np.arange(1, grid_points + 1) / (grid_points + 1)
     fs = f(xs)
+    f0 = float(f(0.0))
+    if f0 * fs[0] < 0.0:
+        # the first crossing lies left of the grid
+        root = _bisect_root(f, 0.0, float(xs[0]), f0)
+        return root, abs(f(root)), False
 
     exact = np.flatnonzero(fs == 0.0)
     change = np.flatnonzero(fs[:-1] * fs[1:] < 0.0)
@@ -323,10 +329,10 @@ def _first_root(f, upper: float, grid_points: int) -> tuple[float | None, float,
     a = float(xs[k - 1]) if k > 0 else 0.0
     b = float(xs[k + 1]) if k < grid_points - 1 else upper
     x_star, f_star = _refine_extremum(f, a, b, minimize=positive)
-    if (positive and f_star < 0.0) or (not positive and f_star > 0.0):
+    f_a = f(a)
+    if f_a * f_star < 0.0:
         # hidden dip or bump: the first crossing sits just left of the refined point
-        left = float(xs[k - 1]) if k > 0 else a
-        root = _bisect_root(f, left, x_star, f(left))
+        root = _bisect_root(f, a, x_star, f_a)
         return root, abs(f(root)), False
     residual = min(abs(f_star), float(np.min(np.abs(fs))))
     return None, residual, not positive

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
+import lupi
 from lupi import (
     GENERATOR_NAME,
     ChoiceProfile,
@@ -17,7 +22,7 @@ from lupi import (
     simulate,
     win_prob,
 )
-from lupi.oracle import _round_winners
+from lupi.oracle import _occupancy_table, _round_winners
 
 
 def random_strategy(rng, n):
@@ -41,6 +46,42 @@ def occupancy_total(probs):
             weight *= probs[j] ** k
         total += ways * weight
     return total
+
+
+def descend_win_prob(i, p):
+    """Enumeration by recursion over the numbers, one occupancy vector per
+    leaf: the reference the table-driven oracle must match bit for bit."""
+    n = p.n
+    probs = p.probs
+    terms = []
+
+    def descend(number, remaining, ways, weight):
+        # number is 0-based; ways carries the running multinomial count
+        if number == n - 1:
+            k = remaining
+            if (number == i - 1 and k != 0) or (number < i - 1 and k == 1):
+                return
+            if k and probs[number] == 0.0:
+                return
+            terms.append(ways * weight * probs[number] ** k)
+            return
+        if number == i - 1:
+            descend(number + 1, remaining, ways, weight)
+            return
+        for k in range(remaining + 1):
+            if number < i - 1 and k == 1:
+                continue
+            if k and probs[number] == 0.0:
+                continue
+            descend(
+                number + 1,
+                remaining - k,
+                ways * math.comb(remaining, k),
+                weight * probs[number] ** k,
+            )
+
+    descend(0, n - 1, 1, 1.0)
+    return math.fsum(terms)
 
 
 class TestExactWinProb:
@@ -77,6 +118,43 @@ class TestExactWinProb:
         with pytest.raises(ValueError):
             exact_win_prob(0, Strategy.uniform(3))
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_bitwise_equal_to_recursion(self, n):
+        rng = np.random.default_rng(1000 + n)
+        sparse = rng.random(n) + 1e-3
+        sparse[[1, n - 1]] = 0.0  # zero entries inside and at the end
+        cases = [random_strategy(rng, n) for _ in range(3)] + [
+            Strategy(sparse / sparse.sum()),
+            Strategy([1.0] + [0.0] * (n - 1)),
+            Strategy.uniform(n),
+        ]
+        for s in cases:
+            for i in range(1, n + 1):
+                assert exact_win_prob(i, s) == descend_win_prob(i, s)
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_occupancy_table(self, n):
+        counts, ways = _occupancy_table(n)
+        assert counts.shape == (math.comb(2 * n - 2, n - 1), n)
+        assert len({tuple(row) for row in counts.tolist()}) == counts.shape[0]
+        assert (counts.sum(axis=1) == n - 1).all()
+        assert all(
+            w == math.factorial(n - 1) // math.prod(math.factorial(k) for k in row)
+            for row, w in zip(counts.tolist(), ways.tolist())
+        )
+        assert int(ways.sum()) == n ** (n - 1)
+        assert not counts.flags.writeable and not ways.flags.writeable
+
+    def test_nothing_built_at_import(self):
+        code = (
+            "import lupi\n"
+            "from lupi.oracle import _occupancy_table\n"
+            "assert _occupancy_table.cache_info().currsize == 0\n"
+        )
+        src = os.path.dirname(os.path.dirname(lupi.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
 
 class TestSimulate:
     def test_vectorized_winner_matches_rule(self):
@@ -93,6 +171,17 @@ class TestSimulate:
                 else:
                     assert has_winner[row]
                     assert winning[row] + 1 == result[1]
+
+    def test_golden_win_counts(self):
+        # pinned counts of two seeded runs: a change to the random stream,
+        # the pick rule or the winner count moves them
+        u = Strategy.uniform(12)
+        assert simulate(u, u, 200_000, seed=20261018).win_counts == [
+            6378, 3877, 2495, 1473, 910, 589, 390, 242, 145, 90, 55, 26
+        ]
+        s = Strategy([Fraction(2, 5), Fraction(3, 10), Fraction(0), Fraction(1, 5), Fraction(1, 10)])
+        stats = simulate(s, s, 100_000, seed=7, shards=3)
+        assert stats.win_counts == [5187, 5940, 0, 3379, 1846]
 
     def test_bitwise_reproducible(self):
         u = Strategy.uniform(3)

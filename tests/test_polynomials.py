@@ -36,6 +36,26 @@ def random_poly(rng, nvars, max_terms=6, max_degree=5):
     return SparsePolynomial(nvars, terms)
 
 
+def evaluate_by_terms(q, values):
+    """Term-by-term Fraction evaluation: the reference for the exact path."""
+    total = Fraction(0)
+    for exps, coeff in q.terms.items():
+        term = coeff
+        for v, e in zip(values, exps):
+            if e:
+                term = term * Fraction(v) ** e
+        total = total + term
+    return total
+
+
+def assert_clean(q):
+    """Stored terms are length-nvars int tuples with nonzero Fractions."""
+    for exps, coeff in q.terms.items():
+        assert type(exps) is tuple and len(exps) == q.nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+
+
 class TestOperators:
     def test_differentiate_power_rule(self):
         q = poly(2, {(2, 1): 1})  # p1^2 p2
@@ -71,6 +91,30 @@ class TestOperators:
     def test_project_extracts_linear_term(self):
         q = poly(2, {(1, 0): 1, (0, 1): 1, (0, 3): 1})  # p1 + p2 + p2^3
         assert project_linear(q, 2) == poly(2, {(0, 1): 1})
+
+    def test_outputs_stay_clean(self):
+        rng = random.Random(77)
+        for _ in range(30):
+            q1, q2 = random_poly(rng, 4), random_poly(rng, 4)
+            i = rng.randint(1, 4)
+            outputs = [
+                differentiate(q1, i),
+                eliminate(q1, i),
+                project_linear(q1, i),
+                q1 + q2,
+                q1 - q2,
+                q1 + q1.scale(-1),
+                -q1,
+            ]
+            for q in outputs:
+                assert_clean(q)
+            assert q1 - q1 == SparsePolynomial(4, {})
+        for n in (3, 5):
+            assert_clean(opponents_outcome_poly(n))
+            for i in range(1, n + 1):
+                assert_clean(no_winner_poly(n, i))
+                assert_clean(no_winner_poly_by_subsets(n, i))
+                assert_clean(win_prob_poly(n, i))
 
     def test_index_out_of_range(self):
         q = poly(2, {(1, 0): 1})
@@ -146,7 +190,7 @@ class TestNoWinnerPolynomial:
         for i in (1, 2):
             assert project_linear(q, i) == SparsePolynomial(4, {})
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_recursion_equals_subset_expansion(self, n):
         for k in range(n + 1):
             assert no_winner_poly(n, k) == no_winner_poly_by_subsets(n, k)
@@ -239,6 +283,22 @@ class TestEvaluationAndSerialization:
         q = poly(2, {(2, 0): Fraction(1, 2), (0, 1): Fraction(-1, 3)})
         value = q.evaluate([Fraction(1, 2), Fraction(3, 4)])
         assert value == Fraction(1, 2) * Fraction(1, 4) - Fraction(1, 3) * Fraction(3, 4)
+
+    def test_exact_evaluation_equals_term_sum(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            q = random_poly(rng, 4, max_terms=10, max_degree=7)
+            point = [Fraction(rng.randint(-12, 12), rng.randint(1, 15)) for _ in range(4)]
+            point[rng.randrange(4)] = Fraction(0)
+            assert q.evaluate(point) == evaluate_by_terms(q, point)
+            ints = [rng.randint(-3, 3) for _ in range(4)]
+            assert q.evaluate(ints) == evaluate_by_terms(q, ints)
+        for i in range(1, 7):
+            q = win_prob_poly(6, i)
+            point = [Fraction(k, 97) for k in (31, 0, 17, 22, 14, 13)]
+            value = q.evaluate(point)
+            assert type(value) is Fraction and value == evaluate_by_terms(q, point)
+        assert SparsePolynomial(2, {}).evaluate([Fraction(1, 3), 2]) == 0
 
     def test_float_evaluation(self):
         q = poly(2, {(1, 1): 2})

@@ -20,6 +20,7 @@ from lupi import (
     verify_ordering_inequality,
     win_prob_vector,
 )
+from lupi.solvers import _first_root
 
 SQRT3 = math.sqrt(3.0)
 CNE3 = 28 - 16 * SQRT3
@@ -108,6 +109,17 @@ class TestSequentialSolve:
         for entry in result.entries:
             if entry.status == "real-root" and entry.i > 1:
                 assert entry.residual <= 1e-12
+
+    def test_crossing_left_of_the_grid(self):
+        # c_2 - c0 is +0.339 at p_2 = 0 and already negative at the first
+        # grid point, so the first root lies between the two
+        result = sequential_solve(1000, 0.3, 3)
+        entry = result.entries[1]
+        assert entry.status == "real-root"
+        assert abs(entry.p_i - 7.560385e-4) <= 1e-9
+        assert entry.residual <= 1e-12
+        root, residual, _ = _first_root(lambda x: 0.01 - x, 1.0, 10)
+        assert root == pytest.approx(0.01, abs=1e-15) and residual <= 1e-15
 
     def test_prefix_stays_normalized(self):
         result = sequential_solve(9, 0.05, 9)  # too-small target overruns mass
