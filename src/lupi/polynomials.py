@@ -28,6 +28,7 @@ larger games belong to the closed-form evaluator.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping
@@ -290,8 +291,15 @@ def opponents_outcome_poly(n: int, *, limit: int | None = None) -> SparsePolynom
 
     Each term is one multiset of picks the ``n - 1`` opponents can produce,
     weighted by its multinomial count; the coefficients sum to ``n^(n-1)``.
+    The terms are built once per ``n``; every call returns its own copy.
     """
     _check_symbolic_n(n, limit)
+    return SparsePolynomial._of_clean_terms(int(n), dict(_outcome_terms(int(n))))
+
+
+@functools.lru_cache(maxsize=4)
+def _outcome_terms(n: int) -> dict[Exponents, Fraction]:
+    """Terms of :func:`opponents_outcome_poly`, cached per ``n``; callers copy them."""
     fact = factorial(n - 1)
     terms: dict[Exponents, Fraction] = {}
     for exps in _compositions(n - 1, n):
@@ -299,7 +307,7 @@ def opponents_outcome_poly(n: int, *, limit: int | None = None) -> SparsePolynom
         for e in exps:
             weight //= factorial(e)
         terms[exps] = Fraction(weight)
-    return SparsePolynomial._of_clean_terms(int(n), terms)
+    return terms
 
 
 def no_winner_poly(n: int, k: int, *, limit: int | None = None) -> SparsePolynomial:

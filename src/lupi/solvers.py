@@ -21,6 +21,7 @@ their agreement is a meaningful cross-check.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,14 @@ from .game import Strategy
 from .winprob import PrefixChance, _check_cap, _kernel
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
+
+# spectral projected gradient (best_symmetric): nonmonotone memory, Armijo
+# fraction, spectral step clamp, and the displacement that counts as no move
+_SPG_MEMORY = 10
+_SPG_ARMIJO = 1e-4
+_SPG_LAM_MIN, _SPG_LAM_MAX = 1e-10, 1e10
+_SPG_STILL = 1e-13
 
 # Endpoints for bisections over the win value c0; a win probability of
 # exactly 0 or 1 is never an equilibrium value.
@@ -577,6 +586,58 @@ def _project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _payoff_floor(n: int, w: float) -> float:
+    """Rounding scale of a computed payoff ``w``: the kernel's ``n eps`` relative error."""
+    return n * _EPS * w
+
+
+def _spg_ascent(p: np.ndarray, max_steps: int) -> tuple[np.ndarray, float, int]:
+    """One start of :func:`best_symmetric`: the point reached, its payoff and the steps."""
+    n = p.size
+
+    def payoff(p: np.ndarray) -> float:
+        return float(_kernel(p, n, n) @ p)
+
+    def payoff_and_gradient(p: np.ndarray) -> tuple[float, np.ndarray]:
+        c, jac = _kernel(p, n, n, jacobian=n)
+        g = c + jac.T @ p
+        # the part along (1, ..., 1) cannot move a point of the simplex;
+        # kept, it carries the rounding of sum(d) into g^T d and s^T y
+        return float(c @ p), g - g.mean()
+
+    w, g = payoff_and_gradient(p)
+    recent = deque([w], maxlen=_SPG_MEMORY)
+    lam = 1.0
+    steps = 0
+    while steps < max_steps:
+        steps += 1
+        d = _project_to_simplex(p + lam * g) - p
+        size, gd = float(np.max(np.abs(d))), float(g @ d)
+        if size <= _SPG_STILL or gd <= 0.0:
+            break
+        t, trial = 1.0, p + d
+        w_t, g_t = payoff_and_gradient(trial)  # most steps are accepted at t = 1
+        # below the floor the payoff cannot rank moves: accept on the gradient
+        while gd > _payoff_floor(n, w) and w_t < max(recent) + _SPG_ARMIJO * t * gd:
+            t *= 0.5
+            if t * size <= _SPG_STILL:
+                break
+            trial = p + t * d
+            w_t = payoff(trial)
+        if t * size <= _SPG_STILL:
+            break
+        if t < 1.0:
+            w_t, g_t = payoff_and_gradient(trial)
+        s, y = trial - p, g_t - g
+        curvature = -float(s @ y)
+        lam = _SPG_LAM_MAX
+        if curvature > 0.0:
+            lam = min(max(float(s @ s) / curvature, _SPG_LAM_MIN), _SPG_LAM_MAX)
+        p, w, g = trial, w_t, g_t
+        recent.append(w)
+    return p, w, steps
+
+
 def best_symmetric(
     n: int,
     *,
@@ -587,11 +648,31 @@ def best_symmetric(
 ) -> SymmetricOptimum:
     """Maximize the everyone-plays-it payoff over the probability simplex.
 
-    Projected-gradient ascent on the analytic gradient ``c + J^T p`` of
-    ``W(p) = sum_i p_i c_i(p)``, multi-start from the uniform strategy plus
-    ``restarts`` seeded random interior points. This is a confirmation
-    tool, not an equilibrium: the maximizer is the uniform strategy, which
-    no self-interested player sticks to.
+    Spectral projected gradient (SPG2 of Birgin, Martinez and Raydan, SIAM
+    J. Optim. 2000) on the analytic gradient ``g = c + J^T p`` of
+    ``W(p) = sum_i p_i c_i(p)``, less its mean (the part along
+    ``(1, ..., 1)`` does not move a point of the simplex), multi-start from the uniform strategy plus
+    ``restarts`` seeded random interior points. Each step projects
+    ``p + lam g`` onto the simplex once, backtracks along the resulting
+    direction ``d`` under the nonmonotone Armijo test against the best of
+    the last 10 payoffs, and takes the next ``lam`` from the
+    Barzilai-Borwein quotient ``s^T s / (-s^T y)``. ``W`` is invariant
+    under relabelling the numbers, so at the uniform strategy its Hessian
+    on the simplex is a multiple of the identity and that quotient is the
+    Newton step. A start stops when ``max |d| <= 1e-13``, when ``d`` is no
+    ascent direction, when the line search fails, or after ``max_steps``.
+
+    The payoff is known only to its rounding floor ``n eps W``. Once the
+    predicted gain ``g^T d`` falls below it the payoff cannot rank moves, so
+    the step is accepted on the gradient alone, which stays accurate. Every
+    start reaches the same maximizer, and a later start replaces the best
+    so far only by beating it by more than the floor, so a rounding tie
+    keeps the uniform start, which comes first.
+
+    ``iterations`` counts the steps over all starts, each start's closing
+    stationarity check included. This is a confirmation tool, not an
+    equilibrium: the maximizer is the uniform strategy, which no
+    self-interested player sticks to.
     """
     if int(n) != n or n < 3:
         raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
@@ -602,34 +683,13 @@ def best_symmetric(
         raw = rng.random(n) + 0.1
         starts.append(raw / raw.sum())
 
-    def payoff(p: np.ndarray) -> float:
-        return float(_kernel(p, n, n) @ p)
-
     best_p: np.ndarray | None = None
     best_w = -math.inf
     total_steps = 0
     for p0 in starts:
-        p = np.array(p0)
-        w = payoff(p)
-        step = 0.25
-        for _ in range(max_steps):
-            total_steps += 1
-            c, jac = _kernel(p, n, n, jacobian=n)
-            grad = c + jac.T @ p
-            moved = False
-            while step >= 1e-12:
-                candidate = _project_to_simplex(p + step * grad)
-                w_cand = payoff(candidate)
-                if w_cand > w + 1e-15:
-                    displacement = float(np.max(np.abs(candidate - p)))
-                    p, w = candidate, w_cand
-                    step = min(step * 1.6, 1.0)
-                    moved = displacement > 1e-10
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        if w > best_w:
+        p, w, steps = _spg_ascent(p0, max_steps)
+        total_steps += steps
+        if best_p is None or w > best_w + _payoff_floor(n, best_w):
             best_p, best_w = p, w
     assert best_p is not None
     best_w = math.fsum(_kernel(best_p, n, n) * best_p)  # report the compensated value

@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import lupi
 from lupi.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -234,3 +237,39 @@ class TestOutputAndConfig:
     def test_unknown_command_usage_error(self, capsys, cache_file):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+class TestProcess:
+    """``python -m lupi.cli`` as its own process, the path scripts take."""
+
+    @staticmethod
+    def run_process(*argv):
+        src = os.path.dirname(os.path.dirname(lupi.__file__))
+        env = {k: v for k, v in os.environ.items() if not k.startswith("LUPI_")}
+        env["PYTHONPATH"] = src
+        return subprocess.run(
+            [sys.executable, "-m", "lupi.cli", *argv],
+            env=env, capture_output=True, timeout=120, check=False,
+        )
+
+    def test_version(self):
+        proc = self.run_process("--version")
+        assert proc.returncode == 0
+        assert proc.stdout == b"lupi 0.1.0\n"
+
+    def test_figure_cold_then_warm(self, capsys, tmp_path):
+        argv = ["figure", "--which", "fig1", "--n-list", "3,4,5"]
+        code, expected, _ = run(capsys, *argv, "--cache-path", str(tmp_path / "in_process.json"))
+        assert code == 0
+        cache = tmp_path / "process.json"
+        for state in ("cold", "warm"):
+            assert cache.exists() == (state == "warm")
+            proc = self.run_process(*argv, "--cache-path", str(cache))
+            assert proc.returncode == 0, (state, proc.stderr)
+            assert proc.stdout == expected.encode(), state
+
+    def test_bestsym_golden(self, tmp_path):
+        proc = self.run_process("bestsym", "--n", "5", "--cache-path", str(tmp_path / "c.json"))
+        assert proc.returncode == 0
+        rows = b"".join(b"%d,0.2,0.18688\n" % i for i in range(1, 6))
+        assert proc.stdout == b"i,p_i,w\n" + rows

@@ -150,6 +150,8 @@ class TestExactWinProb:
             "import lupi\n"
             "from lupi.oracle import _occupancy_table\n"
             "assert _occupancy_table.cache_info().currsize == 0\n"
+            "from lupi.polynomials import _outcome_terms\n"
+            "assert _outcome_terms.cache_info().currsize == 0\n"
         )
         src = os.path.dirname(os.path.dirname(lupi.__file__))
         env = {**os.environ, "PYTHONPATH": src}

@@ -1,5 +1,6 @@
 """Exact polynomial layer: operators, identities, and the game polynomials."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,6 +17,16 @@ from lupi import (
     project_linear,
     win_prob_poly,
 )
+from lupi.polynomials import _outcome_terms
+
+WIN_PROB_POLY_SHA256 = {
+    3: "b3c9cc24753d28bf29eae3c4f90b25740384cb455d5af326f696f018d121c9e7",
+    4: "40d6f0de550f46f6ac80edd4fb03b6605dcae6557119695c6effe9fb6376f4d6",
+    5: "16fe802b4e203d84006b65989ccafbd47307ea4105abe8183b72774975a69a30",
+    6: "38441905baf07400e6dc1047d7f7d8a77b503000bf322788bb450e324960293a",
+    7: "2b24630ed91919e49d707de00a412bec16c508cfe637b430bf3dbc88c79985b1",
+    8: "5e491c0ddd437586aac2efc198f7a2d861a55a69afa8081e3baca01aed192101",
+}
 
 
 def poly(nvars, terms):
@@ -158,6 +169,19 @@ class TestOutcomePolynomial:
             opponents_outcome_poly(9)
         assert opponents_outcome_poly(9, limit=9).coefficient_sum() == 9**8
 
+    def test_cached_terms_not_shared(self):
+        first = opponents_outcome_poly(5)
+        first.terms.clear()
+        second = opponents_outcome_poly(5)
+        assert second.coefficient_sum() == 5**4
+        assert second.terms is not opponents_outcome_poly(5).terms
+
+    def test_cap_checked_before_build(self):
+        _outcome_terms.cache_clear()
+        with pytest.raises(ResourceLimitError):
+            opponents_outcome_poly(9)
+        assert _outcome_terms.cache_info().currsize == 0
+
     def test_cap_env(self, monkeypatch):
         monkeypatch.setenv("LUPI_N_MAX_SYMBOLIC", "6")
         with pytest.raises(ResourceLimitError):
@@ -224,6 +248,15 @@ class TestWinProbPolynomial:
         for i in range(1, n + 1):
             q = win_prob_poly(n, i, limit=8)
             assert all(exps[i - 1] == 0 for exps in q.terms)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_golden_digest(self, n):
+        # sha256 over canonical_text of win_prob_poly(n, 1..n), recorded
+        # when opponents_outcome_poly built its terms afresh on every call
+        digest = hashlib.sha256()
+        for i in range(1, n + 1):
+            digest.update(win_prob_poly(n, i).canonical_text().encode())
+        assert digest.hexdigest() == WIN_PROB_POLY_SHA256[n]
 
 
 class TestOperatorIdentities:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import lupi.solvers
 from lupi import (
     ResourceLimitError,
     Strategy,
@@ -20,11 +21,26 @@ from lupi import (
     verify_ordering_inequality,
     win_prob_vector,
 )
-from lupi.solvers import _first_root
+from lupi.solvers import _first_root, _spg_ascent
 
 SQRT3 = math.sqrt(3.0)
 CNE3 = 28 - 16 * SQRT3
 NE3_PROBS = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
+
+# best_symmetric(n).w recorded from the projected-gradient ascent that the
+# spectral method replaced: the compensated payoff of the uniform strategy
+BEST_SYMMETRIC_W = {
+    3: 0.2962962962962963,
+    4: 0.2109375,
+    5: 0.18688000000000002,
+    6: 0.1575360082304527,
+    7: 0.13862299843481157,
+    8: 0.12240934371948242,
+    9: 0.10973602379609819,
+    10: 0.09918836100000002,
+    11: 0.09045198422740237,
+    12: 0.08306485105120871,
+}
 
 
 class TestSolveNE:
@@ -203,10 +219,49 @@ class TestBestSymmetric:
         assert np.max(np.abs(opt.strategy.probs - 1 / 3)) <= 1e-6
         assert opt.w == pytest.approx(8 / 27, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("n", range(3, 13))
     def test_uniform_wins(self, n):
         opt = best_symmetric(n)
-        assert np.max(np.abs(opt.strategy.probs - 1 / n)) <= 1e-6
+        assert np.array_equal(opt.strategy.probs, Strategy.uniform(n).probs)
+        assert opt.w == BEST_SYMMETRIC_W[n]
+
+    @pytest.mark.parametrize("n", [3, 8, 12])
+    def test_every_start_reaches_uniform(self, n):
+        # each start converges on its own, not only the uniform one that wins
+        # ties; the worst of 450 starts at n = 3..12 was 1e-13 from uniform
+        rng = np.random.default_rng(n)
+        for concentration in (5.0, 0.5):
+            for _ in range(10):
+                p, _, steps = _spg_ascent(rng.dirichlet(np.full(n, concentration)), 500)
+                assert np.max(np.abs(p - 1 / n)) <= 1e-12
+                assert steps < 500
+
+    def test_uniform_start_is_stationary(self):
+        opt = best_symmetric(7, restarts=0)
+        assert np.array_equal(opt.strategy.probs, Strategy.uniform(7).probs)
+        assert (opt.starts, opt.iterations) == (1, 1)
+
+    def test_step_budget(self):
+        opt = best_symmetric(8, restarts=4, max_steps=3)
+        assert opt.starts == 5
+        assert opt.iterations <= opt.starts * 3
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_work_count(self, n, monkeypatch):
+        # spectral steps converge in tens of steps per start, each one
+        # kernel call when the line search accepts the first trial point
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return kernel(*args, **kwargs)
+
+        kernel = lupi.solvers._kernel
+        monkeypatch.setattr(lupi.solvers, "_kernel", counted)
+        opt = best_symmetric(n)
+        assert opt.iterations <= 150
+        assert calls <= 3 * opt.iterations + opt.starts
 
     def test_random_perturbations_never_beat_uniform(self):
         rng = np.random.default_rng(55)
