@@ -7,85 +7,72 @@ algebra, a closed-form evaluator, and brute-force enumeration plus
 simulation), solves the symmetric equilibrium where every number wins
 equally often, and quantifies the gap between that equilibrium and the
 group-optimal uniform play.
+
+The public names below are loaded from their submodules on first use
+(PEP 562), so ``import lupi`` alone does not import numpy.
 """
 
-from .config import ResourceLimitError
-from .game import ChoiceProfile, GameSpec, Strategy, lowest_unique_winner
-from .oracle import GENERATOR_NAME, SimulationStats, exact_win_prob, simulate
-from .polynomials import (
-    SparsePolynomial,
-    differentiate,
-    eliminate,
-    no_winner_poly,
-    no_winner_poly_by_subsets,
-    opponents_outcome_poly,
-    project_linear,
-    win_prob_poly,
-)
-from .solvers import (
-    C0Interval,
-    ClassificationError,
-    NESolution,
-    SelfConsistentSolution,
-    SequentialEntry,
-    SequentialResult,
-    SymmetricOptimum,
-    best_symmetric,
-    bound_c0,
-    find_cne_sequential,
-    sequential_solve,
-    solve_ne,
-    verify_ordering_inequality,
-)
-from .winprob import (
-    PayoffReport,
-    WinProbVector,
-    expected_payoff,
-    symmetric_payoff,
-    uniform_asymptotic_win_prob,
-    win_prob,
-    win_prob_gradient,
-    win_prob_vector,
-)
+import importlib
+
+from .config import ClassificationError, ResourceLimitError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "C0Interval",
-    "ChoiceProfile",
-    "ClassificationError",
-    "GENERATOR_NAME",
-    "GameSpec",
-    "NESolution",
-    "PayoffReport",
-    "ResourceLimitError",
-    "SelfConsistentSolution",
-    "SequentialEntry",
-    "SequentialResult",
-    "SimulationStats",
-    "SparsePolynomial",
-    "Strategy",
-    "SymmetricOptimum",
-    "WinProbVector",
-    "best_symmetric",
-    "bound_c0",
-    "differentiate",
-    "eliminate",
-    "exact_win_prob",
-    "expected_payoff",
-    "find_cne_sequential",
-    "lowest_unique_winner",
-    "no_winner_poly",
-    "no_winner_poly_by_subsets",
-    "opponents_outcome_poly",
-    "project_linear",
-    "sequential_solve",
-    "simulate",
-    "solve_ne",
-    "symmetric_payoff",
-    "uniform_asymptotic_win_prob",
-    "win_prob",
-    "win_prob_gradient",
-    "win_prob_poly",
-    "win_prob_vector",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "ClassificationError": "config",
+    "ResourceLimitError": "config",
+    "ChoiceProfile": "game",
+    "GameSpec": "game",
+    "Strategy": "game",
+    "lowest_unique_winner": "game",
+    "GENERATOR_NAME": "oracle",
+    "SimulationStats": "oracle",
+    "exact_win_prob": "oracle",
+    "simulate": "oracle",
+    "SparsePolynomial": "polynomials",
+    "differentiate": "polynomials",
+    "eliminate": "polynomials",
+    "no_winner_poly": "polynomials",
+    "no_winner_poly_by_subsets": "polynomials",
+    "opponents_outcome_poly": "polynomials",
+    "project_linear": "polynomials",
+    "win_prob_poly": "polynomials",
+    "C0Interval": "solvers",
+    "NESolution": "solvers",
+    "SelfConsistentSolution": "solvers",
+    "SequentialEntry": "solvers",
+    "SequentialResult": "solvers",
+    "SymmetricOptimum": "solvers",
+    "best_symmetric": "solvers",
+    "bound_c0": "solvers",
+    "find_cne_sequential": "solvers",
+    "sequential_solve": "solvers",
+    "solve_ne": "solvers",
+    "verify_ordering_inequality": "solvers",
+    "PayoffReport": "winprob",
+    "WinProbVector": "winprob",
+    "expected_payoff": "winprob",
+    "symmetric_payoff": "winprob",
+    "uniform_asymptotic_win_prob": "winprob",
+    "win_prob": "winprob",
+    "win_prob_gradient": "winprob",
+    "win_prob_vector": "winprob",
+}
+_SUBMODULES = ("cli", "config", "game", "oracle", "polynomials", "solvers", "winprob")
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

@@ -13,6 +13,9 @@ with a header row (JSON via ``--format json``; the ``simulate`` command is
 JSON-only), numbers carry 10 significant digits, and identical invocations
 produce byte-identical output. Exit codes: 0 success, 1 usage or
 validation error, 2 numerical non-convergence.
+
+Each command imports the modules it computes with inside its function, so
+``--version`` and a figure served from a warm cache never import numpy.
 """
 
 from __future__ import annotations
@@ -20,25 +23,17 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import ResourceLimitError, cache_path, subset_cap
-from .game import Strategy
-from .oracle import simulate
-from .solvers import (
-    ClassificationError,
-    bound_c0,
-    best_symmetric,
-    sequential_solve,
-    solve_ne,
-)
-from .winprob import PrefixChance, expected_payoff, symmetric_payoff, win_prob_vector
+from .config import SUM_TOLERANCE, ClassificationError, ResourceLimitError, cache_path, subset_cap
+
+if TYPE_CHECKING:
+    from .game import Strategy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,14 +57,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass
 class RunConfig:
     """Resolved options shared across commands (flags > env > defaults)."""
 
-    subset_cap: int
-    cache_path: str
-    output_format: str
-    output_path: str | None
+    def __init__(self, subset_cap: int, cache_path: str, output_format: str,
+                 output_path: str | None) -> None:
+        self.subset_cap = subset_cap
+        self.cache_path = cache_path
+        self.output_format = output_format
+        self.output_path = output_path
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -141,36 +137,67 @@ def _store_cache(path: str, data: dict) -> None:
         raise
 
 
-def solved_ne_strategy(n: int, cfg: RunConfig, tol: float = 1e-12) -> tuple[Strategy, float]:
-    """Equilibrium strategy for ``n``, via the cache when warm."""
+def _cached_solution(entry: object, n: int) -> tuple[list[float], float] | None:
+    """Probabilities and win value of a valid cache entry for ``n``, else None.
+
+    lupi stores only the probabilities of a validated strategy: ``n`` floats
+    in ``[0, 1]`` summing to 1. Anything else is a stale or hand-edited
+    entry, and is solved again rather than repaired.
+    """
+    try:
+        probs, c_ne = entry["probs"], entry["c_ne"]
+    except (KeyError, TypeError):
+        return None
+    valid = (
+        isinstance(probs, list)
+        and len(probs) == n
+        and all(isinstance(v, float) and 0.0 <= v <= 1.0 for v in probs)
+        and abs(math.fsum(probs) - 1.0) <= SUM_TOLERANCE
+        and isinstance(c_ne, float)
+        and 0.0 <= c_ne <= 1.0
+    )
+    return (probs, c_ne) if valid else None
+
+
+def solved_ne_strategies(n_list, cfg: RunConfig, tol: float = 1e-12):
+    """Yield ``(n, probs, c_ne)`` for each ``n`` of ``n_list``: the equilibrium
+    probabilities as plain floats and its win value, via the cache when warm.
+
+    The cache file is read once. Each miss is solved and stored at once, so
+    the entries solved before a later failure are kept.
+    """
     data = _load_cache(cfg.cache_path)
-    key = _cache_key(n, tol)
-    entry = data["entries"].get(key)
-    if entry is not None:
-        try:
-            return Strategy(entry["probs"]), float(entry["c_ne"])
-        except (KeyError, ValueError, TypeError):
-            pass  # stale or corrupt entry: recompute
-    solution = solve_ne(n, tol=tol, cap=cfg.subset_cap)
-    if not solution.converged:
-        raise NonConvergence(
-            f"equilibrium solve for n={n} did not converge "
-            f"(residual {solution.residual:.3e} after {solution.iterations} iterations)"
-        )
-    data["entries"][key] = {
-        "n": n,
-        "tol": tol,
-        "probs": [float(v) for v in solution.strategy.probs],
-        "c_ne": solution.c_ne,
-        "residual": solution.residual,
-        "iterations": solution.iterations,
-    }
-    _store_cache(cfg.cache_path, data)
-    return solution.strategy, solution.c_ne
+    for n in n_list:
+        key = _cache_key(n, tol)
+        hit = _cached_solution(data["entries"].get(key), n)
+        if hit is not None:
+            yield n, *hit
+            continue
+        from .solvers import solve_ne
+
+        solution = solve_ne(n, tol=tol, cap=cfg.subset_cap)
+        if not solution.converged:
+            raise NonConvergence(
+                f"equilibrium solve for n={n} did not converge "
+                f"(residual {solution.residual:.3e} after {solution.iterations} iterations)"
+            )
+        probs = [float(v) for v in solution.strategy.probs]
+        data["entries"][key] = {
+            "n": n,
+            "tol": tol,
+            "probs": probs,
+            "c_ne": solution.c_ne,
+            "residual": solution.residual,
+            "iterations": solution.iterations,
+        }
+        _store_cache(cfg.cache_path, data)
+        yield n, probs, solution.c_ne
 
 
 def resolve_strategy(source: str, n: int, cfg: RunConfig) -> Strategy:
     """Turn a ``--strategy`` value (named or file path) into a Strategy."""
+    from .game import Strategy
+
     if source == "uniform":
         return Strategy.uniform(n)
     if source == "zeng":
@@ -178,7 +205,8 @@ def resolve_strategy(source: str, n: int, cfg: RunConfig) -> Strategy:
     if source == "flitney":
         return Strategy.flitney(n)
     if source == "ne":
-        return solved_ne_strategy(n, cfg)[0]
+        _, probs, _ = next(solved_ne_strategies([n], cfg))
+        return Strategy(probs)
     try:
         strategy = Strategy.from_file(source)
     except OSError as exc:
@@ -194,6 +222,8 @@ def resolve_strategy(source: str, n: int, cfg: RunConfig) -> Strategy:
 
 
 def cmd_ne(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .solvers import solve_ne
+
     solution = solve_ne(args.n, tol=args.tol, max_iter=args.max_iter, cap=cfg.subset_cap)
     if cfg.output_format == "json":
         _emit(_json(solution.to_json_obj()), cfg)
@@ -204,6 +234,8 @@ def cmd_ne(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_winprob(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .winprob import win_prob_vector
+
     strategy = resolve_strategy(args.strategy, args.n, cfg)
     per = win_prob_vector(strategy, cap=cfg.subset_cap)
     if cfg.output_format == "json":
@@ -214,6 +246,8 @@ def cmd_winprob(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_sequential(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .solvers import sequential_solve
+
     result = sequential_solve(args.n, args.c0, args.depth, cap=cfg.subset_cap)
     if cfg.output_format == "json":
         _emit(_json(result.to_json_obj()), cfg)
@@ -227,6 +261,8 @@ def cmd_sequential(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .solvers import bound_c0
+
     interval = bound_c0(args.n, args.depth, tol=args.tol, cap=cfg.subset_cap)
     if cfg.output_format == "json":
         _emit(_json(interval.to_json_obj()), cfg)
@@ -242,6 +278,8 @@ def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .oracle import simulate
+
     pi = resolve_strategy(args.pi, args.n, cfg)
     p = resolve_strategy(args.p, args.n, cfg)
     stats = simulate(pi, p, args.rounds, args.seed, shards=args.shards)
@@ -250,6 +288,8 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_payoff(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .winprob import expected_payoff
+
     pi = resolve_strategy(args.pi, args.n, cfg)
     p = resolve_strategy(args.p, args.n, cfg)
     report = expected_payoff(pi, p, cap=cfg.subset_cap)
@@ -266,6 +306,8 @@ def cmd_payoff(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_bestsym(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .solvers import best_symmetric
+
     optimum = best_symmetric(args.n, restarts=args.restarts, cap=cfg.subset_cap)
     if cfg.output_format == "json":
         _emit(
@@ -307,23 +349,26 @@ def cmd_figure(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     rows: list[list[object]] = []
     if which == "fig1":
-        for n in n_list:
-            strategy, _ = solved_ne_strategy(n, cfg)
-            rows.extend([n, i + 1, float(v)] for i, v in enumerate(strategy.probs))
+        for n, probs, _ in solved_ne_strategies(n_list, cfg):
+            rows.extend([n, i + 1, v] for i, v in enumerate(probs))
         _emit(_csv(["n", "i", "p_ne"], rows), cfg)
     elif which == "fig1b":
-        for n in n_list:
-            strategy, _ = solved_ne_strategy(n, cfg)
-            rows.extend([n, (i + 1) / n, n * float(v)] for i, v in enumerate(strategy.probs))
+        for n, probs, _ in solved_ne_strategies(n_list, cfg):
+            rows.extend([n, (i + 1) / n, n * v] for i, v in enumerate(probs))
         _emit(_csv(["n", "i_over_n", "n_times_p_ne"], rows), cfg)
     elif which == "fig2a":
+        from .game import Strategy
+        from .winprob import win_prob_vector
+
         for n in n_list:
             per = win_prob_vector(Strategy.uniform(n), cap=cfg.subset_cap)
             rows.extend([n, i + 1, float(v)] for i, v in enumerate(per.values))
         _emit(_csv(["n", "i", "c_i"], rows), cfg)
     elif which == "fig2b":
-        for n in n_list:
-            _, c_ne = solved_ne_strategy(n, cfg)
+        from .game import Strategy
+        from .winprob import symmetric_payoff
+
+        for n, _, c_ne in solved_ne_strategies(n_list, cfg):
             series = {
                 "uniform": symmetric_payoff(Strategy.uniform(n), cap=cfg.subset_cap),
                 "ne": c_ne,
@@ -339,6 +384,11 @@ def cmd_figure(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _figure_traces(args: argparse.Namespace, cfg: RunConfig) -> int:
     """Win-chance traces c_i over candidate p_i, prefix fixed by the chain."""
+    import numpy as np
+
+    from .solvers import sequential_solve
+    from .winprob import PrefixChance
+
     n, c0, depth, points = args.n, args.c0, args.depth, args.points
     if not 0.0 < c0 < 1.0:
         raise CliError(f"--c0 must lie in (0, 1), got {c0}")

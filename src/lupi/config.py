@@ -1,9 +1,12 @@
-"""Size caps and environment-backed configuration.
+"""Size caps, environment-backed configuration, tolerances and errors.
 
 Exact polynomial expansion and subset enumeration both grow exponentially,
 so every entry point that can blow up checks a cap first. Caps resolve in
 the order: explicit argument, ``LUPI_*`` environment variable, built-in
 default.
+
+This module imports no numpy, so the command-line front end can read a
+warm cache and report errors without loading it.
 """
 
 from __future__ import annotations
@@ -15,9 +18,27 @@ SUBSET_CAP_DEFAULT = 25
 NE_PLAYER_CAP_DEFAULT = 20
 ORACLE_PLAYER_CAP_DEFAULT = 10
 
+# Sum-to-one tolerance of a valid strategy, and the largest deviation that
+# constructors silently repair by renormalizing. Anything worse is rejected:
+# quietly fixing badly formed input hides bugs.
+SUM_TOLERANCE = 1e-12
+RENORM_THRESHOLD = 1e-9
+
 
 class ResourceLimitError(RuntimeError):
     """Raised when a request exceeds a configured size cap."""
+
+
+class ClassificationError(RuntimeError):
+    """The too-small/too-large signal of a bisection was inconsistent.
+
+    Carries the evaluated points as ``trace``: a list of
+    ``(c0, classification)`` pairs.
+    """
+
+    def __init__(self, message: str, trace: list[tuple[float, str]]):
+        super().__init__(message)
+        self.trace = trace
 
 
 def _env_int(name: str, default: int) -> int:

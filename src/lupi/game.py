@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Sum-to-one tolerance of a valid strategy, and the largest deviation that
-# constructors silently repair by renormalizing. Anything worse is rejected:
-# quietly fixing badly formed input hides bugs.
-SUM_TOLERANCE = 1e-12
-RENORM_THRESHOLD = 1e-9
+from .config import RENORM_THRESHOLD, SUM_TOLERANCE
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import NE_PLAYER_CAP_DEFAULT, ResourceLimitError
+from .config import NE_PLAYER_CAP_DEFAULT, ClassificationError, ResourceLimitError
 from .game import Strategy
 from .winprob import PrefixChance, _check_cap, _kernel
 
@@ -47,18 +47,6 @@ _C0_HI = 1.0 - 1e-9
 
 REAL_ROOT = "real-root"
 NO_REAL_ROOT = "no-real-root"
-
-
-class ClassificationError(RuntimeError):
-    """The too-small/too-large signal of a bisection was inconsistent.
-
-    Carries the evaluated points as ``trace``: a list of
-    ``(c0, classification)`` pairs.
-    """
-
-    def __init__(self, message: str, trace: list[tuple[float, str]]):
-        super().__init__(message)
-        self.trace = trace
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,40 @@ class TestOutputAndConfig:
         _, out, _ = run(capsys, "winprob", "--n", "4", "--strategy", "ne")
         assert abs(float(out.strip().splitlines()[1].split(",")[1]) - 0.3**3) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda probs: [0.2] * 5,  # wrong length
+            lambda probs: [1.2, -0.2] + probs[2:],  # out of range, still sums to 1
+            lambda probs: [probs[0] + 1e-10] + probs[1:],  # sum off by more than 1e-12
+            lambda probs: ["0.5"] + probs[1:],  # not a number
+        ],
+        ids=["wrong-length", "out-of-range", "bad-sum", "non-numeric"],
+    )
+    def test_stale_cache_entry_recomputed(self, capsys, cache_file, corrupt):
+        argv = ("figure", "--which", "fig1", "--n-list", "4")
+        _, expected, _ = run(capsys, *argv)
+        payload = json.loads(cache_file.read_text())
+        entry = payload["entries"]["n=4,tol=1e-12"]
+        solved = entry["probs"]
+        entry["probs"] = corrupt(solved)
+        cache_file.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == expected
+        rewritten = json.loads(cache_file.read_text())["entries"]["n=4,tol=1e-12"]
+        assert rewritten["probs"] == solved
+
+    def test_cache_read_once_per_run(self, capsys, cache_file, monkeypatch):
+        run(capsys, "figure", "--which", "fig1", "--n-list", "3,4,5")
+        reads = []
+        load = lupi.cli._load_cache
+        monkeypatch.setattr(lupi.cli, "_load_cache", lambda path: reads.append(path) or load(path))
+        code, _, _ = run(capsys, "figure", "--which", "fig1b", "--n-list", "3,4,5,6")
+        assert code == 0 and reads == [str(cache_file)]
+        assert set(json.loads(cache_file.read_text())["entries"]) == {
+            f"n={n},tol=1e-12" for n in (3, 4, 5, 6)
+        }
+
     def test_env_cap_rejects_and_flag_overrides(self, capsys, cache_file, monkeypatch):
         monkeypatch.setenv("LUPI_SUBSET_CAP", "2")
         code, _, err = run(capsys, "winprob", "--n", "6", "--strategy", "uniform")
@@ -233,6 +267,15 @@ class TestOutputAndConfig:
         code, out, _ = run(capsys, "winprob", "--n", "6", "--strategy", "uniform",
                            "--subset-cap", "10")
         assert code == 0
+
+    def test_classification_error_exit_code(self, capsys, cache_file, monkeypatch):
+        def inconsistent(*args, **kwargs):
+            raise lupi.solvers.ClassificationError("inconsistent signal", [(0.1, "small")])
+
+        monkeypatch.setattr(lupi.solvers, "bound_c0", inconsistent)
+        code, out, err = run(capsys, "bound", "--n", "9", "--depth", "4")
+        assert code == 2 and out == ""
+        assert err == "error: inconsistent signal\n"
 
     def test_unknown_command_usage_error(self, capsys, cache_file):
         code, _, _ = run(capsys, "frobnicate")
