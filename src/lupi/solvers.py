@@ -6,7 +6,8 @@ machinery around them:
 * :func:`solve_ne` equalizes all per-number win chances simultaneously with
   a damped Newton iteration started from the uniform strategy.
 * :func:`sequential_solve` fixes a target win value ``c0`` and solves for
-  ``p_1, p_2, ...`` one number at a time; :func:`find_cne_sequential`
+  ``p_1, p_2, ...`` one number at a time, each by a monotone Newton
+  iteration in the remaining tail mass; :func:`find_cne_sequential`
   bisects ``c0`` until the chain's probabilities close to total mass 1, and
   :func:`bound_c0` turns shallow chains into a rigorous interval for the
   equilibrium win value.
@@ -20,6 +21,7 @@ their agreement is a meaningful cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,7 +32,6 @@ from .config import NE_PLAYER_CAP_DEFAULT, ClassificationError, ResourceLimitErr
 from .game import Strategy
 from .winprob import PrefixChance, _check_cap, _kernel
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
 
 # spectral projected gradient (best_symmetric): nonmonotone memory, Armijo
@@ -79,10 +80,11 @@ class SequentialEntry:
 
     ``p_i`` is the probability found for the number ``i`` (``None`` when the
     equation has no real solution in the admissible interval). ``residual``
-    is ``|c_i - c0|`` at the root, or the smallest value attainable over the
-    interval when no real root exists; that minimum shrinks as ``c0``
-    approaches the equilibrium value, mirroring the shrinking imaginary part
-    of the complex root it shadows.
+    is ``|c_i - c0|`` at the root, or, when no real root exists, its value
+    at the nearer end of the interval: ``c_i`` is monotone there, so that
+    is the exact minimum. It shrinks as ``c0`` approaches the equilibrium
+    value, mirroring the shrinking imaginary part of the complex root it
+    shadows.
     """
 
     i: int
@@ -247,118 +249,82 @@ def solve_ne(
 # ---------------------------------------------------------------------------
 
 
-def _bisect_root(func, a: float, b: float, fa: float) -> float:
-    """Plain bisection inside a sign-change bracket."""
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = func(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-        if b - a <= 1e-15 * max(1.0, abs(b)):
-            break
-    return 0.5 * (a + b)
+def _tail_root(at_tail, rest: float, c0: float) -> tuple[float | None, float, bool]:
+    """Root ``T`` of ``c(T) = c0`` on ``[0, rest]`` for an increasing ``c``.
 
+    ``at_tail(T)`` returns ``(c, dc/dT)``; ``c`` must have nonnegative
+    coefficients in ``T``, so ``h(s) = log c(e^s)`` is increasing and
+    convex. The endpoints classify: ``c(rest) < c0`` or ``c(0) > c0`` has
+    no root, and the endpoint's ``|c - c0|`` is the exact minimum over the
+    interval. Otherwise Newton's method descends from ``T = rest`` onto the
+    root and stops when ``T`` no longer decreases or ``c <= c0``. Each step
+    takes the lower of the Newton points of ``c(T) = c0`` and of
+    ``h(s) = log c0``: both functions are convex, so neither point passes
+    the root. The step in ``log T`` stays long where ``c(rest)`` exceeds
+    ``c0`` by orders of magnitude; the step in ``T`` is the faster one
+    where ``c`` is nearly linear, close to a root near ``T = 0``.
 
-def _refine_extremum(func, a: float, b: float, minimize: bool) -> tuple[float, float]:
-    """Golden-section extremum of ``func`` on ``[a, b]``; returns (x, f(x))."""
-    sign = 1.0 if minimize else -1.0
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = sign * func(c)
-    fd = sign * func(d)
-    for _ in range(120):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = sign * func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = sign * func(d)
-        if b - a <= 1e-18:
-            break
-    if fc < fd:
-        return c, sign * fc
-    return d, sign * fd
-
-
-def _first_root(f, upper: float, grid_points: int) -> tuple[float | None, float, bool]:
-    """First root of ``f`` on the open interval ``(0, upper)``.
-
-    ``f`` takes an array of points or a float. Scans an equally spaced
-    interior grid, with ``f(0)`` in front of it, for a sign change and
-    bisects the first one (the smallest root). With no sign change, the
-    extremum nearest zero is polished by golden section: near-tangent
-    crossings dip below the grid resolution and would otherwise be missed.
-    Only a bracket whose ends differ in sign is bisected.
-
-    Returns ``(root, residual, all_negative)`` where ``root`` is ``None``
-    when no real crossing exists; ``residual`` is then the smallest ``|f|``
-    attained over the interval, and ``all_negative`` tells which side of
-    zero the function stayed on.
+    Returns ``(tail, residual, all_negative)``: ``tail`` is ``None`` when
+    no root exists, and ``all_negative`` tells that ``c`` stayed below
+    ``c0`` over the interval.
     """
-    xs = upper * np.arange(1, grid_points + 1) / (grid_points + 1)
-    fs = f(xs)
-    f0 = float(f(0.0))
-    if f0 * fs[0] < 0.0:
-        # the first crossing lies left of the grid
-        root = _bisect_root(f, 0.0, float(xs[0]), f0)
-        return root, abs(f(root)), False
-
-    exact = np.flatnonzero(fs == 0.0)
-    change = np.flatnonzero(fs[:-1] * fs[1:] < 0.0)
-    first_exact = int(exact[0]) if exact.size else None
-    first_change = int(change[0]) if change.size else None
-    if first_exact is not None and (first_change is None or first_exact <= first_change):
-        x = float(xs[first_exact])
-        return x, abs(f(x)), False
-    if first_change is not None:
-        k = first_change
-        root = _bisect_root(f, float(xs[k]), float(xs[k + 1]), float(fs[k]))
-        return root, abs(f(root)), False
-
-    positive = bool(fs[0] > 0.0)
-    k = int(np.argmin(np.abs(fs)))
-    a = float(xs[k - 1]) if k > 0 else 0.0
-    b = float(xs[k + 1]) if k < grid_points - 1 else upper
-    x_star, f_star = _refine_extremum(f, a, b, minimize=positive)
-    f_a = f(a)
-    if f_a * f_star < 0.0:
-        # hidden dip or bump: the first crossing sits just left of the refined point
-        root = _bisect_root(f, a, x_star, f_a)
-        return root, abs(f(root)), False
-    residual = min(abs(f_star), float(np.min(np.abs(fs))))
-    return None, residual, not positive
+    tail = rest
+    c, slope = at_tail(tail)
+    if c < c0:
+        return None, c0 - c, True
+    floor = at_tail(0.0)[0]
+    if floor > c0:
+        return None, floor - c0, False
+    log_c0 = math.log(c0)
+    while c > c0:
+        in_log = tail * math.exp((log_c0 - math.log(c)) * c / (tail * slope))
+        step = max(0.0, min(tail - (c - c0) / slope, in_log))
+        if not step < tail:
+            break
+        tail = step
+        c, slope = at_tail(tail)
+    return tail, abs(c - c0), False
 
 
 @dataclass
-class _ChainState:
+class _Chain:
     """Internal outcome of one sequential chain run."""
 
-    chance: PrefixChance  # its prefix holds the solved p_1, p_2, ...
     entries: list[SequentialEntry] = field(default_factory=list)
+    tails: list[float] = field(default_factory=list)  # T_j = 1 - p_1 - ... - p_j
     all_negative: bool = False  # set when the failing index stayed below c0
 
+    @property
+    def prefix(self) -> list[float]:
+        return [e.p_i for e in self.entries if e.p_i is not None]
 
-def _run_chain(n: int, c0: float, depth: int, grid_points: int, cap: int | None) -> _ChainState:
+    @property
+    def complete(self) -> bool:
+        return self.entries[-1].status == REAL_ROOT
+
+    def tail_feasible(self, n: int) -> bool:
+        """Whether a uniform tail at the last solved ``p_j`` reaches total
+        mass 1: ``(n - j) p_j >= T_j``."""
+        prefix = self.prefix
+        return (n - len(prefix)) * prefix[-1] >= self.tails[-1]
+
+
+def _run_chain(n: int, c0: float, depth: int, cap: int | None) -> _Chain:
     chance = PrefixChance(n, cap)
-    state = _ChainState(chance)
-    p1 = 1.0 - c0 ** (1.0 / (n - 1))
-    state.entries.append(SequentialEntry(1, p1, REAL_ROOT, abs(chance(p1) - c0)))
-    chance.fix(p1)
-    for i in range(2, depth + 1):
-        root, residual, all_neg = _first_root(lambda x: chance(x) - c0, chance.rest, grid_points)
-        if root is None:
-            state.entries.append(SequentialEntry(i, None, NO_REAL_ROOT, residual))
-            state.all_negative = all_neg
-            break
-        state.entries.append(SequentialEntry(i, root, REAL_ROOT, residual))
-        chance.fix(root)
-    return state
+    chain = _Chain()
+    tail = c0 ** (1.0 / (n - 1))  # c_1 = T_1^(n-1)
+    residual = abs(chance.at_tail(tail)[0] - c0)
+    for i in range(1, depth + 1):
+        if i > 1:
+            chance.fix(chain.entries[-1].p_i, rest=tail)
+            tail, residual, all_negative = _tail_root(chance.at_tail, chance.rest, c0)
+            if tail is None:
+                chain.entries.append(SequentialEntry(i, None, NO_REAL_ROOT, residual))
+                chain.all_negative = all_negative
+                break
+        chain.entries.append(SequentialEntry(i, chance.rest - tail, REAL_ROOT, residual))
+        chain.tails.append(tail)
+    return chain
 
 
 def sequential_solve(
@@ -366,22 +332,23 @@ def sequential_solve(
     c0: float,
     depth: int,
     *,
-    grid_points: int = 1024,
     cap: int | None = None,
 ) -> SequentialResult:
     """Solve ``c_i = c0`` for ``p_1, p_2, ...`` one number at a time.
 
-    ``p_1`` has the closed form ``1 - c0^(1/(n-1))``; each later ``p_i`` is
-    the first root of ``c_i(p_1..p_i) = c0`` in the open interval
-    ``(0, 1 - sum found so far)``, located by a sign scan over an interior
-    grid followed by bisection. Production stops at the requested depth or
-    at the first index with no real root, whichever comes first.
+    ``p_1`` has the closed form ``1 - c0^(1/(n-1))``. With ``p_1..p_{i-1}``
+    fixed, ``c_i`` increases with the tail mass ``T_i = R - p_i``, so each
+    later equation has at most one root in ``[0, R]``: the endpoint values
+    tell whether it exists, and a monotone Newton iteration from
+    ``T_i = R`` finds it in a few evaluations. The next step's ``R`` is
+    ``T_i``, so the remaining mass never comes from ``1 - sum p``.
+    Production stops at the requested depth or at the first index with no
+    real root, whichever comes first.
 
     Args:
         n: Number of players (``n >= 3``).
         c0: Target win value, strictly between 0 and 1.
         depth: How many numbers to solve, ``1 <= depth <= n``.
-        grid_points: Sign-scan resolution of the root bracket.
         cap: Override of the subset-enumeration cap.
     """
     if int(n) != n or n < 3:
@@ -390,69 +357,47 @@ def sequential_solve(
         raise ValueError(f"the target win value must lie in (0, 1), got {c0}")
     if int(depth) != depth or not 1 <= depth <= n:
         raise ValueError(f"depth {depth} outside 1..{n}")
-    state = _run_chain(n, float(c0), depth, grid_points, cap)
-    return SequentialResult(
-        c0=float(c0), entries=state.entries, prefix_sum=math.fsum(state.chance.prefix)
-    )
-
-
-def _classify_incomplete(state: _ChainState, n: int) -> str:
-    """Which side of the self-consistent value an early-stopped chain is on.
-
-    A failing index whose win chance stayed below ``c0`` everywhere means no
-    admissible probability wins often enough: ``c0`` too large. Otherwise
-    the uniform-tail feasibility sum at the last solved index decides: if
-    even ``sum + (n - j) p_j`` cannot reach 1 the chain is infeasible
-    (again too large), while a feasible partial chain that still ran out of
-    real roots was headed past total mass 1 (too small).
-    """
-    if state.all_negative:
-        return "large"
-    j = len(state.chance.prefix)
-    feasibility = math.fsum(state.chance.prefix) + (n - j) * state.chance.prefix[-1] - 1.0
-    return "small" if feasibility >= 0.0 else "large"
+    chain = _run_chain(n, float(c0), depth, cap)
+    return SequentialResult(c0=float(c0), entries=chain.entries, prefix_sum=math.fsum(chain.prefix))
 
 
 def find_cne_sequential(
     n: int,
     tol: float = 1e-8,
     *,
-    grid_points: int = 1024,
     cap: int | None = None,
     max_bisections: int = 200,
 ) -> SelfConsistentSolution:
     """Locate the equilibrium win value by bisecting the sequential chain.
 
-    A candidate ``c0`` is classified too small when the chain's
-    probabilities overrun the total mass (or its feasibility sum says they
-    would), too large when they cannot add up to 1. Bisection stops at the
-    first complete chain whose total mass is within ``tol`` of 1, or when
-    the ``c0`` interval collapses to machine width; the best complete chain
-    seen is returned either way.
+    A candidate ``c0`` is classified too small when some number's win
+    chance stays above it even with all the remaining mass on that number
+    (the probabilities would overrun total mass 1), too large when it stays
+    below ``c0`` with none of it, or when the complete chain leaves tail
+    mass ``T_n > 0`` over. Bisection stops at the first complete chain with
+    ``T_n <= tol``, or when the ``c0`` interval collapses to machine width;
+    the best complete chain seen is returned either way.
 
     The assembled strategy takes the first ``n - 1`` chain probabilities
-    and closes the last one by normalization, which pins the one entry the
-    near-tangent final equation resolves worst.
+    and closes the last one with the remaining mass ``T_{n-1}``, which pins
+    the one entry the near-tangent final equation resolves worst.
     """
     if int(n) != n or n < 3:
         raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
     lo, hi = _C0_LO, _C0_HI
     trace: list[tuple[float, str]] = []
-    best: tuple[float, float, list[float]] | None = None  # (sum_error, c0, prefix)
+    best: tuple[float, float, _Chain] | None = None  # (sum_error, c0, chain)
     iterations = 0
     for iterations in range(1, max_bisections + 1):
         mid = 0.5 * (lo + hi)
-        state = _run_chain(n, mid, n, grid_points, cap)
-        if len(state.chance.prefix) == n:
-            total = math.fsum(state.chance.prefix)
-            err = abs(total - 1.0)
+        chain = _run_chain(n, mid, n, cap)
+        if chain.complete:
+            err = chain.tails[-1]
             if best is None or err < best[0]:
-                best = (err, mid, list(state.chance.prefix))
+                best = (err, mid, chain)
             if err <= tol:
                 break
-            side = "small" if total > 1.0 else "large"
-        else:
-            side = _classify_incomplete(state, n)
+        side = "large" if chain.complete or chain.all_negative else "small"
         trace.append((mid, side))
         if side == "small":
             lo = mid
@@ -466,9 +411,9 @@ def find_cne_sequential(
             f"chain; the too-small/too-large signal is inconsistent",
             trace,
         )
-    sum_error, c0, prefix = best
-    probs = np.array(prefix)
-    probs[n - 1] = 1.0 - math.fsum(prefix[: n - 1])
+    sum_error, c0, chain = best
+    probs = np.array(chain.prefix)
+    probs[n - 1] = chain.tails[n - 2]
     return SelfConsistentSolution(
         c_ne=c0, strategy=Strategy(probs), sum_error=sum_error, iterations=iterations
     )
@@ -479,7 +424,6 @@ def bound_c0(
     depth: int,
     *,
     tol: float = 1e-4,
-    grid_points: int = 1024,
     cap: int | None = None,
 ) -> C0Interval:
     """Bracket the equilibrium win value using only a depth-``depth`` chain.
@@ -490,23 +434,21 @@ def bound_c0(
     the last solved probability cannot reach total mass 1. Both are located
     by bisection to ``tol``; the returned interval takes the outer
     (violating) side of the lower threshold and the satisfying side of the
-    upper one, so the equilibrium value is contained by construction.
+    upper one, so the equilibrium value is contained by construction. Each
+    candidate ``c0`` runs the chain once, and both tests read that run.
     """
     if int(n) != n or n < 3:
         raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
     if int(depth) != depth or not 1 <= depth <= n:
         raise ValueError(f"depth {depth} outside 1..{n}")
 
-    def chain(c0: float) -> _ChainState:
-        return _run_chain(n, c0, depth, grid_points, cap)
+    chain = functools.cache(lambda c0: _run_chain(n, c0, depth, cap))
 
     def exists(c0: float) -> bool:
-        return len(chain(c0).chance.prefix) == depth
+        return chain(c0).complete
 
     def tail_feasible(c0: float) -> bool:
-        state = chain(c0)
-        j = len(state.chance.prefix)
-        return math.fsum(state.chance.prefix) + (n - j) * state.chance.prefix[-1] >= 1.0
+        return chain(c0).tail_feasible(n)
 
     scan = np.linspace(0.01, 0.95, 48)
 
@@ -527,14 +469,14 @@ def bound_c0(
                 bad = mid
         lower = bad
 
-    feasible = [float(c) for c in scan if tail_feasible(c)]
-    if not feasible:
+    seed_feasible = next((float(c) for c in scan[::-1] if tail_feasible(c)), None)
+    if seed_feasible is None:
         raise ClassificationError(
             f"no candidate win value satisfies the uniform-tail sum for "
             f"n={n}, depth={depth}",
             [],
         )
-    good, bad = max(feasible), _C0_HI
+    good, bad = seed_feasible, _C0_HI
     if tail_feasible(bad):
         upper = bad
     else:

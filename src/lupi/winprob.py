@@ -140,7 +140,10 @@ def _check_i(i: int, n: int) -> None:
 
 
 def _check_cap(i: int, cap: int | None) -> None:
-    limit = subset_cap(cap)
+    _check_limit(i, subset_cap(cap))
+
+
+def _check_limit(i: int, limit: int) -> None:
     if i - 1 > limit:
         raise ResourceLimitError(
             f"win probability for number {i} is above the cap i - 1 <= {limit}; "
@@ -166,6 +169,20 @@ def _ci_subsets(prefix: np.ndarray, p_i, n: int):
             base = 1.0 - x[s : s + chunk, None] - total
             out[s : s + chunk] += (weight * np.power(base, expo)).sum(axis=1)
     return math.fsum(parts) if x.ndim == 0 else out
+
+
+def _ci_subsets_slope(prefix: np.ndarray, free: float, n: int) -> tuple[float, float]:
+    """The subset sum for ``c_i`` and its derivative in the tail mass, both
+    at ``free = 1 - p_i``: each term ``w base^expo`` contributes
+    ``w expo base^(expo - 1)``, from the same blocks."""
+    coef = _signed_falling(n, len(prefix))
+    values, slopes = [], []
+    for prod, total, size in _subset_blocks(prefix):
+        weight, expo, base = coef[size] * prod, n - 1 - size, free - total
+        values.append(math.fsum(weight * np.power(base, expo)))
+        # the factor expo is 0 where the clamped exponent differs from expo - 1
+        slopes.append(math.fsum(weight * expo * np.power(base, np.maximum(expo - 1, 0))))
+    return math.fsum(values), math.fsum(slopes)
 
 
 def _ci_subsets_gradient(i: int, probs: np.ndarray, n: int) -> np.ndarray:
@@ -270,23 +287,26 @@ class PrefixChance:
     """Win chance of the next number as a function of its own probability.
 
     With ``p_1..p_{i-1}`` fixed, ``c_i`` is the polynomial
-    ``sum_m C(N, m) F_{i-1}[m] (R - p_i)^(N-m)``, ``R = 1 - p_1 - ... -
-    p_{i-1}`` (:attr:`rest`, exactly rounded). Calling the object evaluates
-    it at candidate ``p_i`` (an array or a float) by Horner's rule in
-    ``R - p_i``, stable on ``[0, R]`` where every partial sum is
-    nonnegative; :meth:`fix` appends ``p_i`` and advances the table one
-    step. Above ``n = 1000`` the subset sum is evaluated instead.
+    ``sum_m C(N, m) F_{i-1}[m] T^(N-m)`` in the tail mass ``T = R - p_i``,
+    ``R = 1 - p_1 - ... - p_{i-1}`` (:attr:`rest`). Its coefficients are
+    nonnegative, so ``c_i`` increases with ``T`` on ``[0, R]``. Calling the
+    object evaluates it at candidate ``p_i`` (an array or a float) by
+    Horner's rule in ``R - p_i``, stable on ``[0, R]`` where every partial
+    sum is nonnegative; :meth:`at_tail` gives the value and its slope in
+    ``T``; :meth:`fix` appends ``p_i`` and advances the table one step.
+    Above ``n = 1000`` the subset sum is evaluated instead. The subset cap
+    is resolved once, when the object is made.
     """
 
     def __init__(self, n: int, cap: int | None = None):
-        self.n, self.cap = n, cap
+        self.n, self._limit = n, subset_cap(cap)
         self.prefix: list[float] = []
         self.rest = 1.0
         self._table = np.eye(1, n)[0] if n <= _PRODUCT_N_MAX else None  # F_0
         self._coef = [1.0] + [0.0] * (n - 1)  # C(N, m) F_{i-1}[m]
 
     def __call__(self, p_i):
-        _check_cap(len(self.prefix) + 1, self.cap)
+        _check_limit(len(self.prefix) + 1, self._limit)
         if self._table is None:
             return _ci_subsets(np.array(self.prefix), p_i, self.n)
         y, acc = self.rest - p_i, 0.0
@@ -294,13 +314,26 @@ class PrefixChance:
             acc = acc * y + a
         return acc
 
-    def fix(self, p_i: float) -> None:
-        """Fix ``p_i`` and move on to the next number."""
+    def at_tail(self, tail: float) -> tuple[float, float]:
+        """``c_i`` and ``dc_i/dT`` at the tail mass ``T = tail``, one Horner pass."""
+        _check_limit(len(self.prefix) + 1, self._limit)
+        if self._table is None:
+            return _ci_subsets_slope(np.array(self.prefix), 1.0 - self.rest + tail, self.n)
+        value = slope = 0.0
+        for a in self._coef:
+            slope = slope * tail + value
+            value = value * tail + a
+        return value, slope
+
+    def fix(self, p_i: float, rest: float | None = None) -> None:
+        """Fix ``p_i`` and move on to the next number. ``rest`` is the new
+        tail mass when the caller solved for it; by default it is
+        ``1 - p_1 - ... - p_i``, exactly rounded."""
         if self._table is not None:
             self._table = _step(self.n, float(p_i)) @ self._table
             self._coef = (_product_constants(self.n)[0] * self._table).tolist()
         self.prefix.append(float(p_i))
-        self.rest = math.fsum([1.0, *(-v for v in self.prefix)])
+        self.rest = math.fsum([1.0, *(-v for v in self.prefix)]) if rest is None else rest
 
 
 # ---------------------------------------------------------------------------

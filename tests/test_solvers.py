@@ -21,7 +21,8 @@ from lupi import (
     verify_ordering_inequality,
     win_prob_vector,
 )
-from lupi.solvers import _first_root, _spg_ascent
+from lupi.solvers import _spg_ascent, _tail_root
+from lupi.winprob import PrefixChance
 
 SQRT3 = math.sqrt(3.0)
 CNE3 = 28 - 16 * SQRT3
@@ -134,8 +135,18 @@ class TestSequentialSolve:
         assert entry.status == "real-root"
         assert abs(entry.p_i - 7.560385e-4) <= 1e-9
         assert entry.residual <= 1e-12
-        root, residual, _ = _first_root(lambda x: 0.01 - x, 1.0, 10)
-        assert root == pytest.approx(0.01, abs=1e-15) and residual <= 1e-15
+        tail, residual, _ = _tail_root(lambda t: (t, 1.0), 1.0, 0.99)
+        assert 1.0 - tail == pytest.approx(0.01, abs=1e-15) and residual <= 1e-15
+
+    def test_subset_route_above_the_size_limit(self):
+        # n = 2000 evaluates c_i by the subset sum; p_2 and p_3 as the
+        # grid-and-bisection root finder placed them
+        result = sequential_solve(2000, 0.3, 3)
+        assert result.complete
+        _, e2, e3 = result.entries
+        assert abs(e2.p_i - 3.7796507525499854e-4) <= 1e-12
+        assert abs(e3.p_i - 1.5863844936984576e-4) <= 1e-12
+        assert max(e.residual for e in result.entries) <= 1e-12
 
     def test_prefix_stays_normalized(self):
         result = sequential_solve(9, 0.05, 9)  # too-small target overruns mass
@@ -158,6 +169,72 @@ class TestSequentialSolve:
         assert set(obj["entries"][0]) == {"i", "p_i", "status", "residual"}
 
 
+class TestTailRoot:
+    @staticmethod
+    def counted(at_tail):
+        calls = []
+
+        def wrapped(t):
+            calls.append(t)
+            return at_tail(t)
+
+        return wrapped, calls
+
+    def test_monomial_in_one_step(self):
+        # log c is linear in log T: the first Newton step lands on the root,
+        # after the two endpoint evaluations and before the one that stops
+        at_tail, calls = self.counted(lambda t: (t**5, 5 * t**4))
+        tail, residual, all_negative = _tail_root(at_tail, 0.8, 0.01)
+        assert calls[:2] == [0.8, 0.0]
+        assert calls[2] == pytest.approx(0.01**0.2, rel=1e-15)
+        assert tail == pytest.approx(0.01**0.2, rel=1e-15) and not all_negative
+        assert residual <= 1e-17 and len(calls) <= 4
+
+    def test_target_above_the_right_end(self):
+        at_tail, calls = self.counted(lambda t: (0.1 + t * t, 2 * t))
+        tail, residual, all_negative = _tail_root(at_tail, 0.5, 0.4)
+        assert tail is None and all_negative
+        assert residual == 0.4 - (0.1 + 0.5 * 0.5)
+        assert calls == [0.5]
+
+    def test_target_below_the_left_end(self):
+        tail, residual, all_negative = _tail_root(lambda t: (0.1 + t * t, 2 * t), 0.5, 0.04)
+        assert tail is None and not all_negative
+        assert residual == 0.1 - 0.04
+
+    def test_chain_steps_take_few_evaluations(self, monkeypatch):
+        # two endpoint values and a few Newton steps per root
+        calls, fixed = 0, 0
+
+        class Counted(PrefixChance):
+            def at_tail(self, tail):
+                nonlocal calls
+                calls += 1
+                return super().at_tail(tail)
+
+            def fix(self, p_i, rest=None):
+                nonlocal fixed
+                fixed += 1
+                super().fix(p_i, rest)
+
+        monkeypatch.setattr(lupi.solvers, "PrefixChance", Counted)
+        find_cne_sequential(12)
+        assert fixed > 200 and calls <= 8 * fixed
+
+    def test_bound_runs_each_chain_once(self, monkeypatch):
+        runs = 0
+        run_chain = lupi.solvers._run_chain
+
+        def counted(*args):
+            nonlocal runs
+            runs += 1
+            return run_chain(*args)
+
+        monkeypatch.setattr(lupi.solvers, "_run_chain", counted)
+        bound_c0(9, 4)
+        assert runs < 81
+
+
 class TestFindCneSequential:
     def test_three_players(self):
         found = find_cne_sequential(3)
@@ -173,6 +250,21 @@ class TestFindCneSequential:
         found = find_cne_sequential(n)
         newton = solve_ne(n)
         assert np.max(np.abs(found.strategy.probs - newton.strategy.probs)) <= 1e-6
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_agrees_with_newton_beyond_the_cap(self, n):
+        # the chain carries tail masses, so its remaining mass, 1e-13 and
+        # less at these n, does not drown in the rounding of 1 - sum p
+        found = find_cne_sequential(n, tol=1e-13, cap=1000)
+        newton = solve_ne(n, n_max=1000, cap=1000)
+        assert newton.converged
+        assert abs(found.c_ne - newton.c_ne) <= 1e-12
+
+    @pytest.mark.parametrize("n", [60, 100])
+    def test_equalizes_win_chances_at_large_n(self, n):
+        found = find_cne_sequential(n, tol=1e-13, cap=1000)
+        c = win_prob_vector(found.strategy, cap=1000).values
+        assert np.max(np.abs(c - found.c_ne)) <= 1e-12
 
 
 class TestBoundC0:

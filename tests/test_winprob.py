@@ -363,7 +363,8 @@ class TestProductForm:
         # the chain's evaluator (Horner's rule in R - p_i, or the subset sum
         # above the size limit, pairwise on arrays) against the scalar route,
         # within the product form's 2 n^2 u; the subset sum at n = 2000 only
-        # reaches i = 4, where its cancellation is mild
+        # reaches i = 4, where its cancellation is mild. The slope in the
+        # tail mass T = R - p_i is minus the derivative in p_i.
         rng = np.random.default_rng(4000 + n)
         s = random_strategy(rng, n)
         chance = PrefixChance(n)
@@ -372,9 +373,17 @@ class TestProductForm:
             for x, value in zip(candidates, chance(candidates)):
                 probs = s.probs.copy()
                 probs[i - 1] = x
-                ref = subsets(i, probs, n) if n > _PRODUCT_N_MAX else _kernel(probs, n, i)[-1]
-                assert abs(value - ref) <= 2 * n * n * UNIT_ROUNDOFF * ref
-                assert abs(chance(float(x)) - ref) <= 2 * n * n * UNIT_ROUNDOFF * ref
+                if n > _PRODUCT_N_MAX:
+                    ref, ref_slope = subsets(i, probs, n), -_ci_subsets_gradient(i, probs, n)[i - 1]
+                else:
+                    values, jac = _kernel(probs, n, i, jacobian=1)
+                    ref, ref_slope = values[-1], -jac[0, i - 1]
+                tol = 2 * n * n * UNIT_ROUNDOFF
+                assert abs(value - ref) <= tol * ref
+                assert abs(chance(float(x)) - ref) <= tol * ref
+                at_tail, slope = chance.at_tail(chance.rest - float(x))
+                assert abs(at_tail - ref) <= tol * ref
+                assert abs(slope - ref_slope) <= tol * ref_slope
             chance.fix(s.probs[i - 1])
 
     def test_no_overflow_at_the_size_limit(self):
