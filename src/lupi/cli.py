@@ -30,7 +30,7 @@ import tempfile
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import SUM_TOLERANCE, ClassificationError, ResourceLimitError, cache_path, subset_cap
+from .config import SUM_TOLERANCE, ClassificationError, ResourceLimitError, cache_path
 
 if TYPE_CHECKING:
     from .game import Strategy
@@ -60,9 +60,7 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     """Resolved options shared across commands (flags > env > defaults)."""
 
-    def __init__(self, subset_cap: int, cache_path: str, output_format: str,
-                 output_path: str | None) -> None:
-        self.subset_cap = subset_cap
+    def __init__(self, cache_path: str, output_format: str, output_path: str | None) -> None:
         self.cache_path = cache_path
         self.output_format = output_format
         self.output_path = output_path
@@ -70,7 +68,6 @@ class RunConfig:
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         return cls(
-            subset_cap=subset_cap(getattr(args, "subset_cap", None)),
             cache_path=cache_path(getattr(args, "cache_path", None)),
             output_format=getattr(args, "format", "csv"),
             output_path=getattr(args, "output", None),
@@ -175,7 +172,7 @@ def solved_ne_strategies(n_list, cfg: RunConfig, tol: float = 1e-12):
             continue
         from .solvers import solve_ne
 
-        solution = solve_ne(n, tol=tol, cap=cfg.subset_cap)
+        solution = solve_ne(n, tol=tol)
         if not solution.converged:
             raise NonConvergence(
                 f"equilibrium solve for n={n} did not converge "
@@ -224,7 +221,7 @@ def resolve_strategy(source: str, n: int, cfg: RunConfig) -> Strategy:
 def cmd_ne(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .solvers import solve_ne
 
-    solution = solve_ne(args.n, tol=args.tol, max_iter=args.max_iter, cap=cfg.subset_cap)
+    solution = solve_ne(args.n, tol=args.tol, max_iter=args.max_iter)
     if cfg.output_format == "json":
         _emit(_json(solution.to_json_obj()), cfg)
     else:
@@ -237,7 +234,7 @@ def cmd_winprob(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .winprob import win_prob_vector
 
     strategy = resolve_strategy(args.strategy, args.n, cfg)
-    per = win_prob_vector(strategy, cap=cfg.subset_cap)
+    per = win_prob_vector(strategy)
     if cfg.output_format == "json":
         _emit(_json(per.to_json_obj()), cfg)
     else:
@@ -248,7 +245,7 @@ def cmd_winprob(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_sequential(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .solvers import sequential_solve
 
-    result = sequential_solve(args.n, args.c0, args.depth, cap=cfg.subset_cap)
+    result = sequential_solve(args.n, args.c0, args.depth)
     if cfg.output_format == "json":
         _emit(_json(result.to_json_obj()), cfg)
     else:
@@ -263,7 +260,7 @@ def cmd_sequential(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .solvers import bound_c0
 
-    interval = bound_c0(args.n, args.depth, tol=args.tol, cap=cfg.subset_cap)
+    interval = bound_c0(args.n, args.depth, tol=args.tol)
     if cfg.output_format == "json":
         _emit(_json(interval.to_json_obj()), cfg)
     else:
@@ -292,7 +289,7 @@ def cmd_payoff(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     pi = resolve_strategy(args.pi, args.n, cfg)
     p = resolve_strategy(args.p, args.n, cfg)
-    report = expected_payoff(pi, p, cap=cfg.subset_cap)
+    report = expected_payoff(pi, p)
     if cfg.output_format == "json":
         _emit(_json(report.to_json_obj()), cfg)
     else:
@@ -308,7 +305,7 @@ def cmd_payoff(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_bestsym(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .solvers import best_symmetric
 
-    optimum = best_symmetric(args.n, restarts=args.restarts, cap=cfg.subset_cap)
+    optimum = best_symmetric(args.n, restarts=args.restarts)
     if cfg.output_format == "json":
         _emit(
             _json(
@@ -361,7 +358,7 @@ def cmd_figure(args: argparse.Namespace, cfg: RunConfig) -> int:
         from .winprob import win_prob_vector
 
         for n in n_list:
-            per = win_prob_vector(Strategy.uniform(n), cap=cfg.subset_cap)
+            per = win_prob_vector(Strategy.uniform(n))
             rows.extend([n, i + 1, float(v)] for i, v in enumerate(per.values))
         _emit(_csv(["n", "i", "c_i"], rows), cfg)
     elif which == "fig2b":
@@ -370,10 +367,10 @@ def cmd_figure(args: argparse.Namespace, cfg: RunConfig) -> int:
 
         for n, _, c_ne in solved_ne_strategies(n_list, cfg):
             series = {
-                "uniform": symmetric_payoff(Strategy.uniform(n), cap=cfg.subset_cap),
+                "uniform": symmetric_payoff(Strategy.uniform(n)),
                 "ne": c_ne,
-                "zeng": symmetric_payoff(Strategy.zeng(n), cap=cfg.subset_cap),
-                "flitney": symmetric_payoff(Strategy.flitney(n), cap=cfg.subset_cap),
+                "zeng": symmetric_payoff(Strategy.zeng(n)),
+                "flitney": symmetric_payoff(Strategy.flitney(n)),
             }
             rows.extend([name, n, n * w] for name, w in series.items())
         _emit(_csv(["series", "n", "n_times_w"], rows), cfg)
@@ -392,15 +389,15 @@ def _figure_traces(args: argparse.Namespace, cfg: RunConfig) -> int:
     n, c0, depth, points = args.n, args.c0, args.depth, args.points
     if not 0.0 < c0 < 1.0:
         raise CliError(f"--c0 must lie in (0, 1), got {c0}")
-    result = sequential_solve(n, c0, depth, cap=cfg.subset_cap)
+    result = sequential_solve(n, c0, depth)
     rows: list[list[object]] = []
-    chance = PrefixChance(n, cfg.subset_cap)
+    chance = PrefixChance(n)
     for entry in result.entries:
         grid = chance.rest * np.arange(1, points + 1) / (points + 1)
         rows.extend([entry.i, float(x), float(v)] for x, v in zip(grid, chance(grid)))
         if entry.p_i is None:
             break
-        chance.fix(entry.p_i)
+        chance.fix(entry.p_i, rest=result.tails[entry.i - 1])  # the interval the chain solved on
     _emit(_csv(["i", "p", "c_i"], rows), cfg)
     return EXIT_OK
 
@@ -422,8 +419,6 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
     common.add_argument("--output", default=None, help="write output to this file instead of stdout")
-    common.add_argument("--subset-cap", type=int, default=None,
-                        help="override the subset-enumeration cap (env LUPI_SUBSET_CAP)")
     common.add_argument("--cache-path", default=None,
                         help="equilibrium cache file (env LUPI_CACHE_PATH)")
 

@@ -1,9 +1,10 @@
 """Size caps, environment-backed configuration, tolerances and errors.
 
-Exact polynomial expansion and subset enumeration both grow exponentially,
-so every entry point that can blow up checks a cap first. Caps resolve in
-the order: explicit argument, ``LUPI_*`` environment variable, built-in
-default.
+Exact polynomial expansion and enumeration grow exponentially, so both
+check a player cap first; the Newton equilibrium solve keeps a practical
+one, and the closed-form evaluator, polynomial in ``n``, has none. Caps
+resolve in the order: explicit argument, ``LUPI_*`` environment variable,
+built-in default.
 
 This module imports no numpy, so the command-line front end can read a
 warm cache and report errors without loading it.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import os
 
 N_MAX_SYMBOLIC_DEFAULT = 8
-SUBSET_CAP_DEFAULT = 25
 NE_PLAYER_CAP_DEFAULT = 20
 ORACLE_PLAYER_CAP_DEFAULT = 10
 
@@ -56,14 +56,6 @@ def n_max_symbolic(override: int | None = None) -> int:
     if override is not None:
         return override
     return _env_int("LUPI_N_MAX_SYMBOLIC", N_MAX_SYMBOLIC_DEFAULT)
-
-
-def subset_cap(override: int | None = None) -> int:
-    """Largest number index minus one accepted by the closed-form
-    win-probability evaluator (its subset sum has 2^(i-1) terms)."""
-    if override is not None:
-        return override
-    return _env_int("LUPI_SUBSET_CAP", SUBSET_CAP_DEFAULT)
 
 
 def cache_path(override: str | None = None) -> str:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import NE_PLAYER_CAP_DEFAULT, ClassificationError, ResourceLimitError
 from .game import Strategy
-from .winprob import PrefixChance, _check_cap, _kernel
+from .winprob import PrefixChance, _kernel
 
 _EPS = float(np.finfo(float).eps)
 
@@ -98,11 +98,13 @@ class SequentialEntry:
 
 @dataclass(frozen=True)
 class SequentialResult:
-    """Outcome of a depth-limited sequential solve."""
+    """Outcome of a depth-limited sequential solve; ``tails[j-1]`` is the tail
+    mass ``T_j`` the chain solved on for ``p_j`` (not in the JSON form)."""
 
     c0: float
     entries: list[SequentialEntry]
     prefix_sum: float
+    tails: list[float] = field(default_factory=list)
 
     @property
     def found(self) -> list[float]:
@@ -163,7 +165,6 @@ def solve_ne(
     max_iter: int = 200,
     *,
     n_max: int | None = None,
-    cap: int | None = None,
 ) -> NESolution:
     """Solve the symmetric equilibrium: every number wins equally often.
 
@@ -181,7 +182,6 @@ def solve_ne(
         tol: Convergence threshold on ``max_i |c_i - c_n|``.
         max_iter: Newton iteration budget.
         n_max: Override of the player cap.
-        cap: Override of the subset-enumeration cap.
 
     Returns:
         An :class:`NESolution`; ``converged`` is False when the budget or
@@ -200,7 +200,6 @@ def solve_ne(
         e = np.exp(logits - logits.max())
         return e / e.sum()
 
-    _check_cap(n, cap)
     z = np.zeros(n - 1)
     p = strategy_of(z)
     c = _kernel(p, n, n)
@@ -309,8 +308,8 @@ class _Chain:
         return (n - len(prefix)) * prefix[-1] >= self.tails[-1]
 
 
-def _run_chain(n: int, c0: float, depth: int, cap: int | None) -> _Chain:
-    chance = PrefixChance(n, cap)
+def _run_chain(n: int, c0: float, depth: int) -> _Chain:
+    chance = PrefixChance(n)
     chain = _Chain()
     tail = c0 ** (1.0 / (n - 1))  # c_1 = T_1^(n-1)
     residual = abs(chance.at_tail(tail)[0] - c0)
@@ -331,8 +330,6 @@ def sequential_solve(
     n: int,
     c0: float,
     depth: int,
-    *,
-    cap: int | None = None,
 ) -> SequentialResult:
     """Solve ``c_i = c0`` for ``p_1, p_2, ...`` one number at a time.
 
@@ -349,7 +346,6 @@ def sequential_solve(
         n: Number of players (``n >= 3``).
         c0: Target win value, strictly between 0 and 1.
         depth: How many numbers to solve, ``1 <= depth <= n``.
-        cap: Override of the subset-enumeration cap.
     """
     if int(n) != n or n < 3:
         raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
@@ -357,15 +353,14 @@ def sequential_solve(
         raise ValueError(f"the target win value must lie in (0, 1), got {c0}")
     if int(depth) != depth or not 1 <= depth <= n:
         raise ValueError(f"depth {depth} outside 1..{n}")
-    chain = _run_chain(n, float(c0), depth, cap)
-    return SequentialResult(c0=float(c0), entries=chain.entries, prefix_sum=math.fsum(chain.prefix))
+    chain = _run_chain(n, float(c0), depth)
+    return SequentialResult(float(c0), chain.entries, math.fsum(chain.prefix), chain.tails)
 
 
 def find_cne_sequential(
     n: int,
     tol: float = 1e-8,
     *,
-    cap: int | None = None,
     max_bisections: int = 200,
 ) -> SelfConsistentSolution:
     """Locate the equilibrium win value by bisecting the sequential chain.
@@ -390,7 +385,7 @@ def find_cne_sequential(
     iterations = 0
     for iterations in range(1, max_bisections + 1):
         mid = 0.5 * (lo + hi)
-        chain = _run_chain(n, mid, n, cap)
+        chain = _run_chain(n, mid, n)
         if chain.complete:
             err = chain.tails[-1]
             if best is None or err < best[0]:
@@ -424,7 +419,6 @@ def bound_c0(
     depth: int,
     *,
     tol: float = 1e-4,
-    cap: int | None = None,
 ) -> C0Interval:
     """Bracket the equilibrium win value using only a depth-``depth`` chain.
 
@@ -442,7 +436,7 @@ def bound_c0(
     if int(depth) != depth or not 1 <= depth <= n:
         raise ValueError(f"depth {depth} outside 1..{n}")
 
-    chain = functools.cache(lambda c0: _run_chain(n, c0, depth, cap))
+    chain = functools.cache(lambda c0: _run_chain(n, c0, depth))
 
     def exists(c0: float) -> bool:
         return chain(c0).complete
@@ -574,7 +568,6 @@ def best_symmetric(
     restarts: int = 10,
     max_steps: int = 500,
     seed: int = 20240917,
-    cap: int | None = None,
 ) -> SymmetricOptimum:
     """Maximize the everyone-plays-it payoff over the probability simplex.
 
@@ -606,7 +599,6 @@ def best_symmetric(
     """
     if int(n) != n or n < 3:
         raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
-    _check_cap(n, cap)
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / n)]
     for _ in range(restarts):

@@ -11,38 +11,50 @@ exactly once:
              (1 - p_i - sum_{j in S} p_j)^(n-1-|S|)
 
 That sum expands ``c_i = N! [x^N] prod_{j<i} (e^(p_j x) - p_j x) e^(T_i x)``,
-``T_i = 1 - p_1 - ... - p_i``. The product form's table
+``T_i = 1 - S_i``, ``S_i = p_1 + ... + p_i``; both forms below sum its
+nonnegative terms. Up to ``n = 1000`` the product form's table
 ``F_j[m] = sum_{k != 1} C(m, k) p_j^k F_{j-1}[m-k]`` is the chance that
 ``m`` given opponents all pick from ``1..j`` with none of those numbers
-picked exactly once, and ``c_i = sum_m C(N, m) F_{i-1}[m] T_i^(N-m)``: its
-terms are nonnegative on the simplex, the whole vector costs ``O(n^3)``,
-and a reverse sweep over the same tables gives the Jacobian. Above
-``n = 1000``, where its binomial table would overflow, the subset sum
-(``2^(i-1)`` terms of alternating sign, ``math.fsum`` over fixed-shape
-blocks) is evaluated instead. Both are the same polynomial in the raw
-coordinates.
+picked exactly once, and ``c_i = sum_m C(N, m) F_{i-1}[m] T_i^(N-m)``: the
+whole vector costs ``O(n^3)``, and a reverse sweep over the same tables
+gives the Jacobian. Above that its binomial table would overflow, and the
+product is scaled instead (``x -> x / N``, factor ``j`` by ``e^(-N p_j)``):
+factor ``j`` becomes the Poisson(``N p_j``) row ``r_j`` with its ``k = 1``
+entry set to 0 (after C. Loader, "Fast and Accurate Computation of Binomial
+Probabilities", 2000), ``g = r_1 * ... * r_(i-1)`` lies in ``[0, 1]``, and
+``c_i = sum_m g[m] w_m``,
+``log w_m = N S_(i-1) + log(N! / ((N-m)! N^m)) + (N-m) log1p(-S_i)``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .config import ResourceLimitError, subset_cap
+from .config import ResourceLimitError
 from .game import Strategy
-
-# Subsets are enumerated in bitmask order, materialized in blocks of at most
-# 2^_BLOCK_BITS entries to keep memory flat at large indices.
-_BLOCK_BITS = 18
 
 # Largest n the product form serves: its table entries C(m, k) p^k and
 # k C(m, k) p^(k-1), m < n, p <= 1, stay below n 2^n, which is finite in
 # double precision up to n = 1014.
 _PRODUCT_N_MAX = 1000
+
+# Poisson-scaled form: probabilities below the smallest normal double are
+# dropped (subnormal operands make np.convolve far slower), e^-lam is normal
+# for lam below _NORMAL_EXP, and log 0 has a finite stand-in: 0 log 0 = 0.
+_TINY = sys.float_info.min
+_NORMAL_EXP = -math.log(_TINY)
+_LOG_ZERO = -1e300
+# Loader's Stirling remainder log k! - (k + 1/2) log k + k - log sqrt(2 pi)
+# for k = 1..15, correctly rounded, and 0 at k = 0
+_STIRLERR_SMALL = np.array([0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
+    0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
+    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
 
 _INV_E = math.exp(-1.0)
 
@@ -83,131 +95,9 @@ class PayoffReport:
         return {"w": self.w, "per_number": self.per_number.to_json_obj()}
 
 
-# ---------------------------------------------------------------------------
-# subset machinery
-# ---------------------------------------------------------------------------
-
-
-def _signed_falling(n: int, m: int) -> np.ndarray:
-    """``coef[s] = (-1)^s (n-1)(n-2)...(n-s)`` for ``s = 0..m``.
-
-    Built incrementally so large ``n`` never forms a full factorial.
-    """
-    out = np.empty(m + 1)
-    acc = 1.0
-    out[0] = acc
-    for s in range(1, m + 1):
-        acc *= -(n - s)
-        out[s] = acc
-    return out
-
-
-def _subset_blocks(weights: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(prod, total, size)`` over all subsets of ``weights``.
-
-    Subset ``S`` is the bitmask of positions; arrays cover masks in
-    increasing order, split into fixed blocks on the high bits.
-    """
-    m = len(weights)
-    lo = min(m, _BLOCK_BITS)
-    size_lo = 1 << lo
-    prod = np.ones(size_lo)
-    total = np.zeros(size_lo)
-    size = np.zeros(size_lo, dtype=np.int64)
-    for b in range(lo):
-        half = 1 << b
-        w = float(weights[b])
-        prod[half : 2 * half] = prod[:half] * w
-        total[half : 2 * half] = total[:half] + w
-        size[half : 2 * half] = size[:half] + 1
-    if m == lo:
-        yield prod, total, size
-        return
-    for high_mask in range(1 << (m - lo)):
-        hp, ht, hs = 1.0, 0.0, 0
-        for b in range(m - lo):
-            if high_mask >> b & 1:
-                w = float(weights[lo + b])
-                hp *= w
-                ht += w
-                hs += 1
-        yield prod * hp, total + ht, size + hs
-
-
 def _check_i(i: int, n: int) -> None:
     if int(i) != i or not 1 <= i <= n:
         raise ValueError(f"number index {i} outside 1..{n}")
-
-
-def _check_cap(i: int, cap: int | None) -> None:
-    _check_limit(i, subset_cap(cap))
-
-
-def _check_limit(i: int, limit: int) -> None:
-    if i - 1 > limit:
-        raise ResourceLimitError(
-            f"win probability for number {i} is above the cap i - 1 <= {limit}; "
-            f"raise LUPI_SUBSET_CAP to force it"
-        )
-
-
-def _ci_subsets(prefix: np.ndarray, p_i, n: int):
-    """The inclusion-exclusion sum for ``c_i``, ``i = len(prefix) + 1``, at raw
-    coordinates ``p_1..p_{i-1} = prefix``: for one ``p_i`` summed with
-    ``math.fsum``, for an array of them (a sign scan) pairwise, in chunks of
-    about 2^22 terms."""
-    coef = _signed_falling(n, len(prefix))
-    x = np.asarray(p_i, dtype=float)
-    parts, out = [], np.zeros(x.size)
-    for prod, total, size in _subset_blocks(prefix):
-        weight, expo = coef[size] * prod, n - 1 - size
-        if x.ndim == 0:
-            parts.append(math.fsum(weight * np.power(1.0 - p_i - total, expo)))
-            continue
-        chunk = max(1, (1 << 22) // prod.size)
-        for s in range(0, x.size, chunk):
-            base = 1.0 - x[s : s + chunk, None] - total
-            out[s : s + chunk] += (weight * np.power(base, expo)).sum(axis=1)
-    return math.fsum(parts) if x.ndim == 0 else out
-
-
-def _ci_subsets_slope(prefix: np.ndarray, free: float, n: int) -> tuple[float, float]:
-    """The subset sum for ``c_i`` and its derivative in the tail mass, both
-    at ``free = 1 - p_i``: each term ``w base^expo`` contributes
-    ``w expo base^(expo - 1)``, from the same blocks."""
-    coef = _signed_falling(n, len(prefix))
-    values, slopes = [], []
-    for prod, total, size in _subset_blocks(prefix):
-        weight, expo, base = coef[size] * prod, n - 1 - size, free - total
-        values.append(math.fsum(weight * np.power(base, expo)))
-        # the factor expo is 0 where the clamped exponent differs from expo - 1
-        slopes.append(math.fsum(weight * expo * np.power(base, np.maximum(expo - 1, 0))))
-    return math.fsum(values), math.fsum(slopes)
-
-
-def _ci_subsets_gradient(i: int, probs: np.ndarray, n: int) -> np.ndarray:
-    """Gradient of the subset sum for ``c_i`` in all ``n`` raw coordinates.
-
-    ``p_j``, ``j < i``, enters only the terms of the subsets ``S + {j}``,
-    through ``p_j (b_S - p_j)^(N-|S|-1)``, so its entry is a sum over the
-    subsets ``S`` without ``j``, in the same blocks: no division by ``p_j``.
-    """
-    coef = _signed_falling(n, i)
-    prefix = np.asarray(probs[: i - 1], dtype=float)
-    lo = min(i - 1, _BLOCK_BITS)
-    parts: list[list[float]] = [[] for _ in range(i)]
-    for block, (prod, total, size) in enumerate(_subset_blocks(prefix)):
-        base = 1.0 - float(probs[i - 1]) - total
-        expo = n - 1 - size  # a factor expo or expo - 1 is 0 where a clamp bites
-        through_base = -coef[size] * prod * expo * np.power(base, np.maximum(expo - 1, 0))
-        parts[i - 1].append(math.fsum(through_base))
-        masks = (block << lo) + np.arange(prod.size)
-        for j, pj in enumerate(prefix):
-            out = ((masks >> j) & 1) == 0
-            b, e = base[out] - pj, expo[out]
-            slope = np.power(b, e - 1) - (e - 1) * pj * np.power(b, np.maximum(e - 2, 0))
-            parts[j].append(math.fsum(coef[size[out] + 1] * prod[out] * slope))
-    return np.array([math.fsum(acc) for acc in parts] + [0.0] * (len(probs) - i))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +173,133 @@ def _kernel(probs: np.ndarray, n: int, upto: int, jacobian: int = 0):
     return values, jac
 
 
+# ---------------------------------------------------------------------------
+# Poisson-scaled product form (n > 1000)
+# ---------------------------------------------------------------------------
+
+
+def _stirlerr(k):
+    """Stirling remainder at integers ``k >= 0``: the table up to 15, else
+    the series to ``k^-9``."""
+    k = np.asarray(k, dtype=float)
+    big = np.maximum(k, 16.0)
+    nn = big * big
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / big
+    return np.where(k < 16.0, _STIRLERR_SMALL[np.minimum(k, 15.0).astype(int)], series)
+
+
+def _trimmed(lo: int, arr: np.ndarray) -> tuple[int, np.ndarray]:
+    """Row ``arr`` from index ``lo``, entries below ``_TINY`` zeroed, ends cut;
+    a single 0 where nothing is left (``c_i`` underflows)."""
+    arr = np.where(arr >= _TINY, arr, 0.0)
+    nonzero = np.flatnonzero(arr)
+    if nonzero.size == 0:
+        return lo, np.zeros(1)
+    return lo + int(nonzero[0]), arr[nonzero[0] : nonzero[-1] + 1]
+
+
+def _no_unique_row(lam: float) -> tuple[int, np.ndarray]:
+    """Poisson(``lam``) probabilities with the ``k = 1`` entry set to 0, as a
+    trimmed row. Anchored at ``k = 0`` by ``e^-lam`` while that is a normal
+    double, otherwise at the mode by Loader's saddle-point form
+    ``e^(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k)``, then
+    ``pmf(k+1) = pmf(k) lam / (k+1)`` outwards as far as
+    ``bd0(lam + t, lam) >= t^2 / (2 (lam + t/3))`` says ``-log(tiny)`` is passed."""
+    anchor = int(lam) if lam > _NORMAL_EXP else 0
+    if anchor:
+        bd0 = anchor * math.log1p((anchor - lam) / lam) + (lam - anchor)  # both terms O(1)
+        top = math.exp(-float(_stirlerr(anchor)) - bd0) / math.sqrt(2.0 * math.pi * anchor)
+    else:
+        top = math.exp(-lam)
+    third = _NORMAL_EXP / 3.0
+    reach = int(third + math.sqrt(third * third + 2.0 * _NORMAL_EXP * lam)) + 1
+    up = top * np.cumprod(lam / np.arange(anchor + 1, int(lam) + reach))
+    down = top * np.cumprod(np.arange(anchor, max(anchor - reach, 0), -1) / lam)
+    lo, row = anchor - down.size, np.concatenate((down[::-1], [top], up))
+    if lo <= 1:
+        row[1 - lo] = 0.0  # a number picked exactly once
+    return _trimmed(lo, row)
+
+
+def _convolve(a, b, big_n: int) -> tuple[int, np.ndarray]:
+    """Convolution of two rows, cut at ``m <= N`` and trimmed."""
+    lo = a[0] + b[0]
+    return _trimmed(lo, np.convolve(a[1], b[1])[: max(big_n - lo + 1, 0)])
+
+
+def _window(row, lo: int, size: int) -> np.ndarray:
+    """Entries ``lo .. lo + size - 1`` of a row, 0 outside it."""
+    out = np.zeros(size)
+    start, stop = max(lo, row[0]), min(lo + size, row[0] + row[1].size)
+    if start < stop:
+        out[start - lo : stop - lo] = row[1][start - row[0] : stop - row[0]]
+    return out
+
+
+def _log_weights(table, big_n: int, head: float) -> tuple[np.ndarray, np.ndarray]:
+    """``k = N - m`` and ``head + log(N! / ((N-m)! N^m))`` over the indices
+    ``m`` of ``table``, by Stirling's formula."""
+    m = np.arange(table[0], table[0] + table[1].size)
+    k = big_n - m
+    with np.errstate(divide="ignore"):
+        falling = -(k + 0.5) * np.log1p(-m / big_n) - m - _stirlerr(k)
+    falling[k == 0] = 0.5 * math.log(2.0 * math.pi * big_n) - big_n  # log(N! / N^N)
+    return k, head + float(_stirlerr(big_n)) + falling
+
+
+def _scaled_chance(table, weights, log_tail: float) -> tuple[float, float]:
+    """``c_i = sum_m g[m] w_m`` at ``log T``, and its slope in ``T``, which
+    enters only as ``T^k`` (the factor ``k`` is 0 where the clamped
+    exponent differs from ``k - 1``)."""
+    k, base = weights
+    value = table[1] @ np.exp(base + k * log_tail)
+    slope = table[1] @ (k * np.exp(base + np.maximum(k - 1, 0) * log_tail))
+    return float(value), float(slope)
+
+
+def _scaled(i: int, probs: np.ndarray, n: int, gradient: bool = False):
+    """``c_i`` by the Poisson-scaled form or, with ``gradient``, its
+    derivatives in all ``n`` raw coordinates.
+
+    ``p_j``, ``j < i``, enters ``r_j`` through ``lam_j = N p_j``, where
+    ``d pmf(k) / d lam = pmf(k-1) - pmf(k)``, and ``log w`` through
+    ``N S_(i-1)`` and ``log1p(-S_i)``. The ``-pmf(k)`` part cancels the
+    ``N S_(i-1)`` part, so entry ``j`` is ``N / lam_j (G_(j-1) * k r_j) . B_j``
+    less the slope in ``T``, with ``G_j = r_1 * ... * r_j`` and the adjoint
+    ``B_j[a] = sum_b (r_(j+1) * ... * r_(i-1))[b] w[a+b]`` from one reverse sweep.
+    """
+    big_n = n - 1
+    lams = [big_n * float(p) for p in probs[: i - 1]]
+    rows = [_no_unique_row(lam) for lam in lams]
+    tables = [(0, np.ones(1))]
+    for row in rows:
+        tables.append(_convolve(tables[-1], row, big_n))
+    weights = _log_weights(tables[-1], big_n, big_n * math.fsum(probs[: i - 1]))
+    # log1p of the exactly rounded S_i: forming T = 1 - S_i first would cost
+    # N u relative through T^k
+    s_i = math.fsum(probs[:i])
+    log_tail = math.log1p(-s_i) if s_i < 1.0 else _LOG_ZERO
+    value, through_tail = _scaled_chance(tables[-1], weights, log_tail)
+    if not gradient:
+        return value
+    grad = np.zeros(n)
+    grad[:i] = -through_tail
+    k, base = weights
+    adjoint = (tables[-1][0], np.exp(base + k * log_tail))  # B_(i-1) = w
+    for j in range(i - 1, 0, -1):
+        lo, row = rows[j - 1]
+        if lams[j - 1] > 0.0:  # else pmf(k - 1) = 0 for k >= 2
+            part = _convolve(tables[j - 1], (lo, np.arange(lo, lo + row.size) * row), big_n)
+            through_count = float(part[1] @ _window(adjoint, part[0], part[1].size))
+            grad[j - 1] += big_n / lams[j - 1] * through_count
+        # B_(j-1)[a] = sum_k r_j[k] B_j[a+k], only where G_(j-1) is nonzero:
+        # elsewhere it meets only entries below the smallest normal double
+        start, size = tables[j - 1][0], tables[j - 1][1].size
+        window = _window(adjoint, start + lo, size + row.size - 1)
+        adjoint = (start, np.correlate(window, row, "valid"))
+    return grad
+
+
 class PrefixChance:
     """Win chance of the next number as a function of its own probability.
 
@@ -294,21 +311,24 @@ class PrefixChance:
     Horner's rule in ``R - p_i``, stable on ``[0, R]`` where every partial
     sum is nonnegative; :meth:`at_tail` gives the value and its slope in
     ``T``; :meth:`fix` appends ``p_i`` and advances the table one step.
-    Above ``n = 1000`` the subset sum is evaluated instead. The subset cap
-    is resolved once, when the object is made.
+    Above ``n = 1000`` the Poisson-scaled form is evaluated instead, at
+    ``log T``.
     """
 
-    def __init__(self, n: int, cap: int | None = None):
-        self.n, self._limit = n, subset_cap(cap)
+    def __init__(self, n: int):
+        self.n = n
         self.prefix: list[float] = []
         self.rest = 1.0
-        self._table = np.eye(1, n)[0] if n <= _PRODUCT_N_MAX else None  # F_0
-        self._coef = [1.0] + [0.0] * (n - 1)  # C(N, m) F_{i-1}[m]
+        self._scaled = n > _PRODUCT_N_MAX
+        if self._scaled:
+            self._table = (0, np.ones(1))  # g over the empty prefix
+        else:
+            self._table = np.eye(1, n)[0]  # F_0
+            self._coef = [1.0] + [0.0] * (n - 1)  # C(N, m) F_{i-1}[m]
 
     def __call__(self, p_i):
-        _check_limit(len(self.prefix) + 1, self._limit)
-        if self._table is None:
-            return _ci_subsets(np.array(self.prefix), p_i, self.n)
+        if self._scaled:
+            return np.vectorize(lambda t: self.at_tail(t)[0], otypes=[float])(self.rest - p_i)[()]
         y, acc = self.rest - p_i, 0.0
         for a in self._coef:
             acc = acc * y + a
@@ -316,24 +336,26 @@ class PrefixChance:
 
     def at_tail(self, tail: float) -> tuple[float, float]:
         """``c_i`` and ``dc_i/dT`` at the tail mass ``T = tail``, one Horner pass."""
-        _check_limit(len(self.prefix) + 1, self._limit)
-        if self._table is None:
-            return _ci_subsets_slope(np.array(self.prefix), 1.0 - self.rest + tail, self.n)
+        if self._scaled:
+            weights = _log_weights(self._table, self.n - 1, (self.n - 1) * math.fsum(self.prefix))
+            return _scaled_chance(self._table, weights, math.log(tail) if tail > 0.0 else _LOG_ZERO)
         value = slope = 0.0
         for a in self._coef:
             slope = slope * tail + value
             value = value * tail + a
         return value, slope
 
-    def fix(self, p_i: float, rest: float | None = None) -> None:
-        """Fix ``p_i`` and move on to the next number. ``rest`` is the new
-        tail mass when the caller solved for it; by default it is
-        ``1 - p_1 - ... - p_i``, exactly rounded."""
-        if self._table is not None:
+    def fix(self, p_i: float, rest: float) -> None:
+        """Fix ``p_i`` and move on to the next number, whose remaining mass is
+        ``rest``, the tail mass the caller solved for (no ``1 - sum p``)."""
+        self.prefix.append(float(p_i))
+        self.rest = rest
+        big_n = self.n - 1
+        if self._scaled:
+            self._table = _convolve(self._table, _no_unique_row(big_n * float(p_i)), big_n)
+        else:
             self._table = _step(self.n, float(p_i)) @ self._table
             self._coef = (_product_constants(self.n)[0] * self._table).tolist()
-        self.prefix.append(float(p_i))
-        self.rest = math.fsum([1.0, *(-v for v in self.prefix)]) if rest is None else rest
 
 
 # ---------------------------------------------------------------------------
@@ -341,40 +363,39 @@ class PrefixChance:
 # ---------------------------------------------------------------------------
 
 
-def win_prob(i: int, p: Strategy, *, cap: int | None = None) -> float:
+def win_prob(i: int, p: Strategy) -> float:
     """Chance of winning with number ``i`` against ``n - 1`` players on ``p``.
 
-    Costs ``O(i n^2)`` by the product form, or ``O(2^(i-1))`` by the subset
-    sum above ``n = 1000``; refuses ``i - 1`` above the subset cap (default
-    25, env ``LUPI_SUBSET_CAP``).
+    Costs ``O(i n^2)`` by the product form up to ``n = 1000``; above it,
+    ``O(i L K)`` by the Poisson-scaled form, ``L`` and ``K`` the nonzero
+    spans of its prefix table and of one Poisson row, with relative error
+    ``O((N S_i + i) u)``, ``S_i = p_1 + ... + p_i``.
     """
     _check_i(i, p.n)
-    _check_cap(i, cap)
     if p.n > _PRODUCT_N_MAX:
-        return _ci_subsets(p.probs[: i - 1], float(p.probs[i - 1]), p.n)
+        return _scaled(i, p.probs, p.n)
     return float(_kernel(p.probs, p.n, i)[-1])
 
 
-def win_prob_vector(p: Strategy, *, cap: int | None = None) -> WinProbVector:
+def win_prob_vector(p: Strategy) -> WinProbVector:
     """All per-number win chances ``c_1..c_n`` for strategy ``p``, each equal
     to the bit to :func:`win_prob`; by the product form, so ``n <= 1000``."""
-    _check_cap(p.n, cap)
     return WinProbVector(_kernel(p.probs, p.n, p.n))
 
 
-def expected_payoff(pi: Strategy, p: Strategy, *, cap: int | None = None) -> PayoffReport:
+def expected_payoff(pi: Strategy, p: Strategy) -> PayoffReport:
     """Expected win rate of a focal player mixing with ``pi`` while the
     others play ``p``: the ``pi``-weighted average of the ``c_i(p)``."""
     if pi.n != p.n:
         raise ValueError(f"strategies disagree on n: {pi.n} vs {p.n}")
-    per = win_prob_vector(p, cap=cap)
+    per = win_prob_vector(p)
     w = math.fsum(c * q for c, q in zip(per.values, pi.probs))
     return PayoffReport(w=w, per_number=per)
 
 
-def symmetric_payoff(p: Strategy, *, cap: int | None = None) -> float:
+def symmetric_payoff(p: Strategy) -> float:
     """Expected win rate when every player, focal included, uses ``p``."""
-    return expected_payoff(p, p, cap=cap).w
+    return expected_payoff(p, p).w
 
 
 def uniform_asymptotic_win_prob(i: int) -> float:
@@ -385,7 +406,7 @@ def uniform_asymptotic_win_prob(i: int) -> float:
     return _INV_E * (1.0 - _INV_E) ** (i - 1)
 
 
-def win_prob_gradient(i: int, p: Strategy, *, cap: int | None = None) -> np.ndarray:
+def win_prob_gradient(i: int, p: Strategy) -> np.ndarray:
     """Partial derivatives of ``win_prob(i, .)`` in all ``n`` coordinates.
 
     Derivatives are of the closed-form expression as written, without
@@ -393,10 +414,9 @@ def win_prob_gradient(i: int, p: Strategy, *, cap: int | None = None) -> np.ndar
     because the expression never references those coordinates. Simplex
     tangential derivatives are a caller-side chain rule. Like
     :func:`win_prob`, they come from the product form (``O(i n^2)``) or,
-    above ``n = 1000``, from the subset sum.
+    above ``n = 1000``, from the Poisson-scaled form.
     """
     _check_i(i, p.n)
-    _check_cap(i, cap)
     if p.n > _PRODUCT_N_MAX:
-        return _ci_subsets_gradient(i, p.probs, p.n)
+        return _scaled(i, p.probs, p.n, gradient=True)
     return _kernel(p.probs, p.n, i, jacobian=1)[1][0]

@@ -260,13 +260,18 @@ class TestOutputAndConfig:
             f"n={n},tol=1e-12" for n in (3, 4, 5, 6)
         }
 
-    def test_env_cap_rejects_and_flag_overrides(self, capsys, cache_file, monkeypatch):
-        monkeypatch.setenv("LUPI_SUBSET_CAP", "2")
-        code, _, err = run(capsys, "winprob", "--n", "6", "--strategy", "uniform")
-        assert code == 1 and "cap" in err
-        code, out, _ = run(capsys, "winprob", "--n", "6", "--strategy", "uniform",
+    def test_caps_exit_one(self, capsys, cache_file):
+        # only the caps on work that really grows stay: the Newton solve's
+        # player cap and the product form's size limit exit 1 and name it
+        code, out, err = run(capsys, "ne", "--n", "21")
+        assert code == 1 and out == "" and "cap n=20" in err
+        code, out, err = run(capsys, "winprob", "--n", "1001", "--strategy", "uniform")
+        assert code == 1 and out == "" and "n <= 1000" in err
+        code, out, _ = run(capsys, "winprob", "--n", "30", "--strategy", "uniform")
+        assert code == 0 and len(out.strip().splitlines()) == 31
+        code, _, err = run(capsys, "winprob", "--n", "30", "--strategy", "uniform",
                            "--subset-cap", "10")
-        assert code == 0
+        assert code == 1 and "--subset-cap" in err
 
     def test_classification_error_exit_code(self, capsys, cache_file, monkeypatch):
         def inconsistent(*args, **kwargs):

@@ -139,8 +139,8 @@ class TestSequentialSolve:
         assert 1.0 - tail == pytest.approx(0.01, abs=1e-15) and residual <= 1e-15
 
     def test_subset_route_above_the_size_limit(self):
-        # n = 2000 evaluates c_i by the subset sum; p_2 and p_3 as the
-        # grid-and-bisection root finder placed them
+        # n = 2000 evaluates c_i by the Poisson-scaled form; p_2 and p_3 as
+        # the grid-and-bisection root finder placed them on the subset sum
         result = sequential_solve(2000, 0.3, 3)
         assert result.complete
         _, e2, e3 = result.entries
@@ -162,6 +162,14 @@ class TestSequentialSolve:
             sequential_solve(3, 0.2, 0)
         with pytest.raises(ValueError):
             sequential_solve(3, 0.2, 4)
+
+    def test_tails_are_the_solved_tail_masses(self):
+        # each p_j is the step from the previous tail mass to the one solved
+        # for, so a replay advanced on the tails sees the chain's intervals
+        result = sequential_solve(9, 0.0985, 6)
+        assert len(result.tails) == len(result.found)
+        for rest, tail, p_j in zip([1.0, *result.tails], result.tails, result.found):
+            assert p_j == rest - tail
 
     def test_json_shape(self):
         obj = sequential_solve(3, 0.287, 3).to_json_obj()
@@ -212,7 +220,7 @@ class TestTailRoot:
                 calls += 1
                 return super().at_tail(tail)
 
-            def fix(self, p_i, rest=None):
+            def fix(self, p_i, rest):
                 nonlocal fixed
                 fixed += 1
                 super().fix(p_i, rest)
@@ -255,15 +263,15 @@ class TestFindCneSequential:
     def test_agrees_with_newton_beyond_the_cap(self, n):
         # the chain carries tail masses, so its remaining mass, 1e-13 and
         # less at these n, does not drown in the rounding of 1 - sum p
-        found = find_cne_sequential(n, tol=1e-13, cap=1000)
-        newton = solve_ne(n, n_max=1000, cap=1000)
+        found = find_cne_sequential(n, tol=1e-13)
+        newton = solve_ne(n, n_max=1000)
         assert newton.converged
         assert abs(found.c_ne - newton.c_ne) <= 1e-12
 
     @pytest.mark.parametrize("n", [60, 100])
     def test_equalizes_win_chances_at_large_n(self, n):
-        found = find_cne_sequential(n, tol=1e-13, cap=1000)
-        c = win_prob_vector(found.strategy, cap=1000).values
+        found = find_cne_sequential(n, tol=1e-13)
+        c = win_prob_vector(found.strategy).values
         assert np.max(np.abs(c - found.c_ne)) <= 1e-12
 
 

@@ -1,7 +1,11 @@
 """Closed-form evaluator against the enumeration oracle, the exact polynomial
 layer, finite differences, and the values the construction must reproduce."""
 
+import itertools
 import math
+import sys
+from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -23,12 +27,10 @@ from lupi import (
 from lupi.winprob import (
     _PRODUCT_N_MAX,
     PrefixChance,
-    _ci_subsets,
-    _ci_subsets_gradient,
     _kernel,
+    _no_unique_row,
     _product_constants,
-    _signed_falling,
-    _subset_blocks,
+    _scaled,
 )
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -68,18 +70,6 @@ class TestWinProb:
             win_prob(0, s)
         with pytest.raises(ValueError):
             win_prob(4, s)
-
-    def test_subset_cap(self):
-        s = Strategy.uniform(40)
-        with pytest.raises(ResourceLimitError):
-            win_prob(30, s, cap=20)
-
-    def test_subset_cap_env(self, monkeypatch):
-        monkeypatch.setenv("LUPI_SUBSET_CAP", "3")
-        s = Strategy.uniform(8)
-        with pytest.raises(ResourceLimitError):
-            win_prob(6, s)
-        assert win_prob(3, s) > 0.0
 
 
 class TestOracleEquivalence:
@@ -200,6 +190,11 @@ class TestVector:
             for i in range(1, n + 1):
                 assert v[i - 1] == win_prob(i, s)
 
+    def test_no_cap_on_the_number_index(self):
+        # the whole vector costs O(n^3), and no setting refuses it
+        s = Strategy.uniform(30)
+        assert np.array_equal(win_prob_vector(s).values, _kernel(s.probs, 30, 30))
+
     def test_entries_are_probabilities(self):
         rng = np.random.default_rng(29)
         for n in (3, 5, 9):
@@ -251,24 +246,36 @@ class TestGradient:
             jac = _kernel(s.probs, n, n, jacobian=n)[1]
             for i in range(1, n + 1):
                 scale = np.max(np.abs(jac[i - 1]))
-                assert np.max(np.abs(win_prob_gradient(i, s, cap=n) - jac[i - 1])) <= 1e-13 * scale
+                assert np.max(np.abs(win_prob_gradient(i, s) - jac[i - 1])) <= 1e-13 * scale
 
     def test_subset_sum_gradient(self):
-        # the route above the product form's size limit: against the
-        # kernel's Jacobian off the simplex, where the subset sum's
-        # cancellation costs up to about 1e-12 relative
-        rng = np.random.default_rng(43)
-        for n in (5, 14):
-            x = random_strategy(rng, n).probs + rng.normal(0.0, 1e-3, n)
-            jac = _kernel(x, n, n, jacobian=n)[1]
-            for i in range(1, n + 1):
-                scale = np.max(np.abs(jac[i - 1]))
-                assert np.max(np.abs(_ci_subsets_gradient(i, x, n) - jac[i - 1])) <= 1e-11 * scale
+        # the Poisson-scaled form's gradient against the product form's
+        # Jacobian: each gradient entry is a difference of two nonnegative
+        # parts, the through-tail slope D = |J_ii| and D + J_ij, so each form
+        # errs by at most its relative bound times |J_ij| + 2 D (2 n^2 u for
+        # the product form; twice the value bound of the scaled form, whose
+        # extra convolution and adjoint sweep repeat its operation count)
+        for n in (40, 200, 1000):
+            s = random_strategy(np.random.default_rng(43 + n), n)
+            for i in sorted({1, 2, 5, min(n, 40)}):  # O(i n^2) rows
+                row = _kernel(s.probs, n, i, jacobian=1)[1][0]
+                bound = 2 * n * n * UNIT_ROUNDOFF + 2 * scaled_bound(i, s.probs, n)
+                grad = _scaled(i, s.probs, n, gradient=True)
+                assert np.all(grad[i:] == 0.0)
+                assert np.all(np.abs(grad - row) <= bound * (np.abs(row) + 2 * abs(row[i - 1])))
+
+    def test_underflow_to_zero(self):
+        # under uniform play at n = 1600 every entry of the prefix table for
+        # c_1600 falls below the smallest normal double: the chance and its
+        # gradient are 0, not an error
+        s = Strategy.uniform(1600)
+        assert win_prob(1600, s) == 0.0
+        assert np.all(win_prob_gradient(1600, s) == 0.0)
 
     def test_large_game_matches_central_differences(self):
-        # win_prob_gradient at n = 10^4 goes through the subset sum; central
-        # differences are off by their truncation error, about h^2 n^2
-        # relative since each derivative of c_i in p_j gains a factor ~ n
+        # win_prob_gradient at n = 10^4 goes through the Poisson-scaled form;
+        # central differences are off by their truncation error, about
+        # h^2 n^2 relative since each derivative of c_i in p_j gains a factor ~ n
         n, h = 10**4, 1e-7
         s = random_strategy(np.random.default_rng(47), n)
         for i in (1, 2, 5, 10):
@@ -278,13 +285,120 @@ class TestGradient:
                 up, dn = s.probs.copy(), s.probs.copy()
                 up[j] += h
                 dn[j] -= h
-                fd = (subsets(i, up, n) - subsets(i, dn, n)) / (2 * h)
+                fd = (_scaled(i, up, n) - _scaled(i, dn, n)) / (2 * h)
                 assert abs(fd - g[j]) <= h * h * n * n * np.max(np.abs(g))
 
+    @pytest.mark.parametrize("n", [2000, 10**4])
+    def test_large_game_matches_decimal_derivatives(self, n):
+        # win_prob_gradient and the chain's slope in the tail mass against
+        # central differences of the 60-digit reference (step 1e-25, so
+        # their own error is below 1e-30 relative), at a random strategy
+        # and with p_1 = 0.1 (N p_1 = 200 and 1000; at n = 10^4 its row is
+        # anchored at the mode and starts above k = 0)
+        skewed = np.full(n, 0.9 / (n - 1))
+        skewed[0] = 0.1
+        for s, i in itertools.product(
+            (random_strategy(np.random.default_rng(53 + n), n), Strategy(skewed)), (1, 2, 5, 10)
+        ):
+            ref = decimal_gradient(i, s.probs, n)
+            slope = abs(ref[i - 1])
+            grad = win_prob_gradient(i, s)
+            bound = 2 * scaled_bound(i, s.probs, n)
+            assert np.all(np.abs(grad[:i] - ref) <= bound * (np.abs(ref) + 2 * slope))
 
-def subsets(i, probs, n):
-    """``c_i`` by the inclusion-exclusion sum at raw coordinates."""
-    return _ci_subsets(probs[: i - 1], float(probs[i - 1]), n)
+            chance = PrefixChance(n)
+            for j in range(i - 1):
+                chance.fix(s.probs[j], rest=math.fsum([1.0, *(-s.probs[: j + 1])]))
+            tail = math.fsum([1.0, *(-s.probs[:i])])
+            value, at_tail = chance.at_tail(tail)
+            # at_tail takes T itself: its log costs N u more than log1p(-S_i)
+            tol = scaled_bound(i, s.probs, n) + n * UNIT_ROUNDOFF
+            exact = decimal_chance(s.probs[: i - 1], Decimal(tail), n)
+            assert abs(value - float(exact)) <= tol * float(exact)
+            assert abs(at_tail - decimal_tail_slope(s.probs[: i - 1], tail, n)) <= 2 * tol * slope
+
+
+def decimal_chance(prefix, tail, n):
+    """The paper's inclusion-exclusion sum for ``c_i``, ``i = len(prefix) + 1``,
+    at the tail mass ``tail = T_i`` (a Decimal), in 60-digit decimal
+    arithmetic from the exact binary inputs. ``1 - p_i - sum_S p_j`` is
+    ``T_i`` plus the prefix mass outside ``S``, so subsets that take the
+    same count of each distinct prefix value share one term: 40 terms cover
+    ``i = 40`` under uniform play."""
+    big_n = n - 1
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = (v if isinstance(v, Decimal) else Decimal(float(v)) for v in prefix)
+        groups = list(Counter(exact).items())
+        total = Decimal(0)
+        for sizes in itertools.product(*(range(count + 1) for _, count in groups)):
+            size = sum(sizes)
+            weight, base = Decimal((-1) ** size * math.perm(big_n, size)), tail
+            for (v, count), k in zip(groups, sizes):
+                weight *= math.comb(count, k) * v**k
+                base += (count - k) * v
+            total += weight * base ** (big_n - size)
+        return +total
+
+
+def decimal_win_prob(i, probs, n):
+    """``c_i`` at raw coordinates by :func:`decimal_chance`."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        tail = 1 - sum(Decimal(float(v)) for v in probs[:i])
+    return decimal_chance(probs[: i - 1], tail, n)
+
+
+def decimal_gradient(i, probs, n, h=Decimal("1e-25")):
+    """Central differences of the decimal reference in ``p_1..p_i``."""
+    out = []
+    for j in range(i):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            prefix = [Decimal(float(v)) for v in probs[: i - 1]]
+            tail = 1 - sum(Decimal(float(v)) for v in probs[:i])
+            if j < i - 1:
+                up, dn = list(prefix), list(prefix)
+                up[j] += h
+                dn[j] -= h
+                diff = decimal_chance(up, tail - h, n) - decimal_chance(dn, tail + h, n)
+            else:
+                diff = decimal_chance(prefix, tail - h, n) - decimal_chance(prefix, tail + h, n)
+            out.append(float(diff / (2 * h)))
+    return np.array(out)
+
+
+def decimal_tail_slope(prefix, tail, n, h=Decimal("1e-25")):
+    """``dc_i/dT`` of the decimal reference at the tail mass ``tail``."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t = Decimal(tail)
+        return float((decimal_chance(prefix, t + h, n) - decimal_chance(prefix, t - h, n)) / (2 * h))
+
+
+def scaled_bound(i, probs, n):
+    """Relative error bound of the Poisson-scaled form, ``24 (N S_i + i) u``.
+
+    First order in ``u``, per term ``g[m] w_m`` (all nonnegative, so the
+    sum's relative error is the term-weighted mean of theirs):
+    * ``log w_m`` adds ``N S_(i-1)``, ``(N-m) log1p(-S_i)`` and the falling
+      product (size about ``m``), each a few roundings from exact: an
+      absolute error of ``3 (N S_(i-1) + N S_i + m) u``;
+    * a Poisson entry ``pmf(k; lam_j)`` has ``e^-lam`` (``u``), the rounded
+      ``lam_j = N p_j`` (``(k + lam_j) u``) and ``k`` recurrence steps of
+      two roundings: ``(3k + lam_j + 1) u``, so ``(3m + N S_(i-1) + i) u``
+      over the ``i - 1`` numbers;
+    * each convolution adds a product and a sum of nonnegative terms whose
+      addends below ``u`` times the entry change it by less than
+      themselves: about 20 significant addends for ``N p_j <= 5`` (Poisson
+      mass above ``u`` reaches ``k = 18`` at ``lam = 1``), ``21 i u``;
+    * weighted by the terms, ``m`` averages at most ``1.6 N S_(i-1)``:
+      a count ``k != 1`` of a Poisson(lam) has mean
+      ``lam (1 - e^-lam) / (1 - lam e^-lam) <= lam / (1 - 1/e)``.
+    Together ``(4 N S_(i-1) + 3 N S_i + 6 m + 22 i) u <= (17 N S_i + 22 i) u``,
+    under ``24 (N S_i + i) u``.
+    """
+    return 24 * ((n - 1) * math.fsum(probs[:i]) + i) * UNIT_ROUNDOFF
 
 
 def product_form_exact(probs, n):
@@ -304,15 +418,6 @@ def product_form_exact(probs, n):
             for m in range(n)
         ]
     return out
-
-
-def subset_sum_magnitude(i, probs, n):
-    """Sum of the absolute values of the inclusion-exclusion terms for c_i."""
-    coef = np.abs(_signed_falling(n, i - 1))
-    return sum(
-        float(np.sum(coef[size] * prod * np.power(1.0 - probs[i - 1] - total, n - 1 - size)))
-        for prod, total, size in _subset_blocks(probs[: i - 1])
-    )
 
 
 class TestProductForm:
@@ -336,35 +441,70 @@ class TestProductForm:
 
     def test_route_follows_the_game_size(self):
         # up to the size limit every number takes the product form, above it
-        # the subset sum, so c11 and the large-game checks run as before
+        # the Poisson-scaled form, so c11 and the large-game checks run on it
         s = random_strategy(np.random.default_rng(53), 40)
         for i in (1, 4, 10, 40):
-            assert win_prob(i, s, cap=40) == _kernel(s.probs, 40, 40)[i - 1]
+            assert win_prob(i, s) == _kernel(s.probs, 40, 40)[i - 1]
         s = Strategy.uniform(10**4)
         for i in (1, 4, 10, 20):
-            assert win_prob(i, s) == subsets(i, s.probs, 10**4)
+            assert win_prob(i, s) == _scaled(i, s.probs, 10**4)
 
-    @pytest.mark.parametrize("n", [30, 36, 40])
+    @pytest.mark.parametrize("n", [40, 200, 1000])
     def test_subset_sum_agrees_at_moderate_n(self, n):
-        # the product form's error is 2 n^2 u relative; the subset sum's
-        # terms each carry a relative error of at most about
-        # (N - s)(s + 1) u / base <= n^2 u with bases above 1/4 here, and
-        # their cancellation (sum |term| up to 1e4 c_i) multiplies it
+        # the Poisson-scaled form against the product form below the size
+        # limit, where both serve: within the sum of their bounds
         rng = np.random.default_rng(3000 + n)
         for s in (random_strategy(rng, n), Strategy.uniform(n)):
-            product = _kernel(s.probs, n, 14)
-            for i in range(1, 15):
-                magnitude = subset_sum_magnitude(i, s.probs, n)
-                tol = n * n * UNIT_ROUNDOFF * (2 * product[i - 1] + magnitude)
-                assert abs(product[i - 1] - subsets(i, s.probs, n)) <= tol
+            product = _kernel(s.probs, n, 40)  # O(n^3) in full
+            for i in (1, 2, 5, 10, 20, 39, 40):
+                tol = 2 * n * n * UNIT_ROUNDOFF + scaled_bound(i, s.probs, n)
+                assert abs(_scaled(i, s.probs, n) - product[i - 1]) <= tol * product[i - 1]
+
+    @pytest.mark.parametrize("n", [10**4, 10**6])
+    def test_error_above_the_size_limit(self, n):
+        # uniform play, c_1..c_40, and a seeded first 10 numbers with masses
+        # (0.5..1.5) 3/n, c_1..c_11, against the 60-digit reference
+        seeded = np.empty(n)
+        seeded[:10] = (0.5 + np.random.default_rng(n).random(10)) * 3 / n
+        seeded[10:] = (1.0 - math.fsum(seeded[:10])) / (n - 10)
+        for s, depth in ((Strategy.uniform(n), 40), (Strategy(seeded), 11)):
+            for i in range(1, depth + 1):
+                exact = decimal_win_prob(i, s.probs, n)
+                error = abs(Decimal(win_prob(i, s)) - exact) / exact
+                assert error <= scaled_bound(i, s.probs, n)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 4.5, 700.0, 1000.0, 12345.6])
+    def test_poisson_rows(self, lam):
+        # each entry against exact decimal probabilities: the anchor (k = 0
+        # by e^-lam, or the mode by the saddle-point form) is within 6
+        # roundings, and each recurrence step adds two; the row ends where
+        # the probabilities leave the normal range, and its k = 1 entry is 0
+        lo, row = _no_unique_row(lam)
+        anchor = int(lam) if lam > -math.log(sys.float_info.min) else 0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(lam)
+            mode = int(lam)
+            exact = {mode: (-x).exp() * x**mode / Decimal(math.factorial(mode))}
+            for k in range(mode, lo + row.size):
+                exact[k + 1] = exact[k] * x / (k + 1)
+            for k in range(mode, max(lo - 1, 0), -1):
+                exact[k - 1] = exact[k] * k / x
+        tiny = Decimal(sys.float_info.min)
+        assert exact[lo + row.size] < tiny and (lo == 0 or exact[lo - 1] < tiny)
+        if lo <= 1:
+            assert row[1 - lo] == 0.0
+            exact[1] = Decimal(0)
+        for k, value in enumerate(row.tolist(), lo):
+            bound = Decimal((2 * abs(k - anchor) + 8) * UNIT_ROUNDOFF)
+            assert abs(Decimal(value) - exact[k]) <= bound * exact[k]
 
     @pytest.mark.parametrize("n", [9, 24, 200, 2000])
     def test_prefix_chance_matches_win_prob(self, n):
-        # the chain's evaluator (Horner's rule in R - p_i, or the subset sum
-        # above the size limit, pairwise on arrays) against the scalar route,
-        # within the product form's 2 n^2 u; the subset sum at n = 2000 only
-        # reaches i = 4, where its cancellation is mild. The slope in the
-        # tail mass T = R - p_i is minus the derivative in p_i.
+        # the chain's evaluator (Horner's rule in R - p_i, or the
+        # Poisson-scaled form above the size limit) against the product form
+        # or the decimal reference, within the product form's 2 n^2 u. The
+        # slope in the tail mass T = R - p_i is minus the derivative in p_i.
         rng = np.random.default_rng(4000 + n)
         s = random_strategy(rng, n)
         chance = PrefixChance(n)
@@ -374,7 +514,8 @@ class TestProductForm:
                 probs = s.probs.copy()
                 probs[i - 1] = x
                 if n > _PRODUCT_N_MAX:
-                    ref, ref_slope = subsets(i, probs, n), -_ci_subsets_gradient(i, probs, n)[i - 1]
+                    ref = float(decimal_win_prob(i, probs, n))
+                    ref_slope = -decimal_gradient(i, probs, n)[i - 1]
                 else:
                     values, jac = _kernel(probs, n, i, jacobian=1)
                     ref, ref_slope = values[-1], -jac[0, i - 1]
@@ -384,7 +525,7 @@ class TestProductForm:
                 at_tail, slope = chance.at_tail(chance.rest - float(x))
                 assert abs(at_tail - ref) <= tol * ref
                 assert abs(slope - ref_slope) <= tol * ref_slope
-            chance.fix(s.probs[i - 1])
+            chance.fix(s.probs[i - 1], rest=math.fsum([1.0, *(-s.probs[:i])]))
 
     def test_no_overflow_at_the_size_limit(self):
         n = _PRODUCT_N_MAX
@@ -396,7 +537,7 @@ class TestProductForm:
             values = _kernel(probs, n, 26)
             assert np.all(np.isfinite(values)) and np.all((values >= 0.0) & (values <= 1.0))
             for i in range(2, 7):
-                assert values[i - 1] == pytest.approx(subsets(i, probs, n), rel=1e-12)
+                assert values[i - 1] == pytest.approx(float(decimal_win_prob(i, probs, n)), rel=1e-12)
         _, jac = _kernel(skewed, n, 3, jacobian=3)
         assert np.all(np.isfinite(jac))
         assert np.all(np.isfinite(win_prob_gradient(26, Strategy(skewed))))
