@@ -394,7 +394,7 @@ def _figure_traces(args: argparse.Namespace, cfg: RunConfig) -> int:
     chance = PrefixChance(n)
     for entry in result.entries:
         grid = chance.rest * np.arange(1, points + 1) / (points + 1)
-        rows.extend([entry.i, float(x), float(v)] for x, v in zip(grid, chance(grid)))
+        rows.extend([entry.i, float(x), float(chance.at_tail(chance.rest - x)[0])] for x in grid)
         if entry.p_i is None:
             break
         chance.fix(entry.p_i, rest=result.tails[entry.i - 1])  # the interval the chain solved on

@@ -2,9 +2,10 @@
 
 Exact polynomial expansion and enumeration grow exponentially, so both
 check a player cap first; the Newton equilibrium solve keeps a practical
-one, and the closed-form evaluator, polynomial in ``n``, has none. Caps
-resolve in the order: explicit argument, ``LUPI_*`` environment variable,
-built-in default.
+one, and the closed-form evaluator, polynomial in ``n``, has none. Only the
+symbolic cap reads the environment: it resolves in the order explicit
+argument, ``LUPI_N_MAX_SYMBOLIC``, built-in default. The equilibrium and
+oracle caps come from the argument or the default.
 
 This module imports no numpy, so the command-line front end can read a
 warm cache and report errors without loading it.

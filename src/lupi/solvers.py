@@ -22,6 +22,7 @@ their agreement is a meaningful cross-check.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import NE_PLAYER_CAP_DEFAULT, ClassificationError, ResourceLimitError
-from .game import Strategy
+from .game import Strategy, _require_n
 from .winprob import PrefixChance, _kernel
 
 _EPS = float(np.finfo(float).eps)
@@ -98,13 +99,19 @@ class SequentialEntry:
 
 @dataclass(frozen=True)
 class SequentialResult:
-    """Outcome of a depth-limited sequential solve; ``tails[j-1]`` is the tail
-    mass ``T_j`` the chain solved on for ``p_j`` (not in the JSON form)."""
+    """Outcome of a depth-limited sequential solve.
+
+    ``tails[j-1]`` is the tail mass ``T_j`` the chain solved on for ``p_j``.
+    ``too_small`` tells that the chain stopped where a number's win chance
+    stays above ``c0`` even with all the remaining mass on it, so ``c0`` is
+    below the equilibrium value. Neither is in the JSON form.
+    """
 
     c0: float
     entries: list[SequentialEntry]
     prefix_sum: float
     tails: list[float] = field(default_factory=list)
+    too_small: bool = False
 
     @property
     def found(self) -> list[float]:
@@ -112,7 +119,7 @@ class SequentialResult:
 
     @property
     def complete(self) -> bool:
-        return all(e.status == REAL_ROOT for e in self.entries)
+        return self.entries[-1].status == REAL_ROOT
 
     def to_json_obj(self) -> dict:
         return {
@@ -187,8 +194,7 @@ def solve_ne(
         An :class:`NESolution`; ``converged`` is False when the budget or
         the damping floor was hit, with diagnostics still filled in.
     """
-    if int(n) != n or n < 3:
-        raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
+    _require_n(n)
     limit = NE_PLAYER_CAP_DEFAULT if n_max is None else n_max
     if n > limit:
         raise ResourceLimitError(
@@ -285,45 +291,41 @@ def _tail_root(at_tail, rest: float, c0: float) -> tuple[float | None, float, bo
     return tail, abs(c - c0), False
 
 
-@dataclass
-class _Chain:
-    """Internal outcome of one sequential chain run."""
-
-    entries: list[SequentialEntry] = field(default_factory=list)
-    tails: list[float] = field(default_factory=list)  # T_j = 1 - p_1 - ... - p_j
-    all_negative: bool = False  # set when the failing index stayed below c0
-
-    @property
-    def prefix(self) -> list[float]:
-        return [e.p_i for e in self.entries if e.p_i is not None]
-
-    @property
-    def complete(self) -> bool:
-        return self.entries[-1].status == REAL_ROOT
-
-    def tail_feasible(self, n: int) -> bool:
-        """Whether a uniform tail at the last solved ``p_j`` reaches total
-        mass 1: ``(n - j) p_j >= T_j``."""
-        prefix = self.prefix
-        return (n - len(prefix)) * prefix[-1] >= self.tails[-1]
-
-
-def _run_chain(n: int, c0: float, depth: int) -> _Chain:
+def _run_chain(n: int, c0: float, depth: int) -> SequentialResult:
     chance = PrefixChance(n)
-    chain = _Chain()
+    entries: list[SequentialEntry] = []
+    tails: list[float] = []  # T_j = 1 - p_1 - ... - p_j
+    too_small = False
     tail = c0 ** (1.0 / (n - 1))  # c_1 = T_1^(n-1)
     residual = abs(chance.at_tail(tail)[0] - c0)
     for i in range(1, depth + 1):
         if i > 1:
-            chance.fix(chain.entries[-1].p_i, rest=tail)
+            chance.fix(entries[-1].p_i, rest=tail)
             tail, residual, all_negative = _tail_root(chance.at_tail, chance.rest, c0)
             if tail is None:
-                chain.entries.append(SequentialEntry(i, None, NO_REAL_ROOT, residual))
-                chain.all_negative = all_negative
+                entries.append(SequentialEntry(i, None, NO_REAL_ROOT, residual))
+                too_small = not all_negative
                 break
-        chain.entries.append(SequentialEntry(i, chance.rest - tail, REAL_ROOT, residual))
-        chain.tails.append(tail)
-    return chain
+        entries.append(SequentialEntry(i, chance.rest - tail, REAL_ROOT, residual))
+        tails.append(tail)
+    prefix_sum = math.fsum(e.p_i for e in entries if e.p_i is not None)
+    return SequentialResult(c0, entries, prefix_sum, tails, too_small)
+
+
+def _c0_walk(is_large, width: float):
+    """Bisect the win value over ``(_C0_LO, _C0_HI)``, yielding each midpoint
+    ``0.5 (lo + hi)`` and ``is_large(mid)`` until the bracket is ``width``
+    wide. Every walk visits the same dyadic midpoints until its side test
+    differs, so walks of different tests and depths stay comparable."""
+    lo, hi = _C0_LO, _C0_HI
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        large = is_large(mid)
+        yield mid, large
+        if large:
+            hi = mid
+        else:
+            lo = mid
 
 
 def sequential_solve(
@@ -347,14 +349,12 @@ def sequential_solve(
         c0: Target win value, strictly between 0 and 1.
         depth: How many numbers to solve, ``1 <= depth <= n``.
     """
-    if int(n) != n or n < 3:
-        raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
+    _require_n(n)
     if not 0.0 < c0 < 1.0:
         raise ValueError(f"the target win value must lie in (0, 1), got {c0}")
     if int(depth) != depth or not 1 <= depth <= n:
         raise ValueError(f"depth {depth} outside 1..{n}")
-    chain = _run_chain(n, float(c0), depth)
-    return SequentialResult(float(c0), chain.entries, math.fsum(chain.prefix), chain.tails)
+    return _run_chain(n, float(c0), depth)
 
 
 def find_cne_sequential(
@@ -367,48 +367,41 @@ def find_cne_sequential(
 
     A candidate ``c0`` is classified too small when some number's win
     chance stays above it even with all the remaining mass on that number
-    (the probabilities would overrun total mass 1), too large when it stays
-    below ``c0`` with none of it, or when the complete chain leaves tail
-    mass ``T_n > 0`` over. Bisection stops at the first complete chain with
-    ``T_n <= tol``, or when the ``c0`` interval collapses to machine width;
-    the best complete chain seen is returned either way.
+    (the probabilities would overrun total mass 1), too large otherwise:
+    when the chance stays below ``c0`` with none of the mass, or when the
+    complete chain leaves tail mass ``T_n > 0`` over. Bisection stops at
+    the first complete chain with ``T_n <= tol``, or when the ``c0``
+    interval collapses to machine width; the best complete chain seen is
+    returned either way.
 
     The assembled strategy takes the first ``n - 1`` chain probabilities
     and closes the last one with the remaining mass ``T_{n-1}``, which pins
     the one entry the near-tangent final equation resolves worst.
     """
-    if int(n) != n or n < 3:
-        raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
-    lo, hi = _C0_LO, _C0_HI
+    _require_n(n)
+    chain = functools.cache(lambda c0: _run_chain(n, c0, n))
+    walk = _c0_walk(lambda c0: not chain(c0).too_small, 1e-16)
     trace: list[tuple[float, str]] = []
-    best: tuple[float, float, _Chain] | None = None  # (sum_error, c0, chain)
+    best: tuple[float, float, SequentialResult] | None = None  # (sum_error, c0, chain)
     iterations = 0
-    for iterations in range(1, max_bisections + 1):
-        mid = 0.5 * (lo + hi)
-        chain = _run_chain(n, mid, n)
-        if chain.complete:
-            err = chain.tails[-1]
+    for iterations, (mid, large) in enumerate(itertools.islice(walk, max_bisections), 1):
+        run = chain(mid)
+        if run.complete:
+            err = run.tails[-1]
             if best is None or err < best[0]:
-                best = (err, mid, chain)
+                best = (err, mid, run)
             if err <= tol:
                 break
-        side = "large" if chain.complete or chain.all_negative else "small"
-        trace.append((mid, side))
-        if side == "small":
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
+        trace.append((mid, "large" if large else "small"))
     if best is None:
         raise ClassificationError(
             f"bisection on the win value for n={n} never produced a complete "
             f"chain; the too-small/too-large signal is inconsistent",
             trace,
         )
-    sum_error, c0, chain = best
-    probs = np.array(chain.prefix)
-    probs[n - 1] = chain.tails[n - 2]
+    sum_error, c0, run = best
+    probs = np.array(run.found)
+    probs[n - 1] = run.tails[n - 2]
     return SelfConsistentSolution(
         c_ne=c0, strategy=Strategy(probs), sum_error=sum_error, iterations=iterations
     )
@@ -422,75 +415,40 @@ def bound_c0(
 ) -> C0Interval:
     """Bracket the equilibrium win value using only a depth-``depth`` chain.
 
-    The lower endpoint is the threshold below which the chain stops
-    producing real roots (the probabilities would overrun the total mass);
-    the upper endpoint is the threshold above which even a uniform tail at
-    the last solved probability cannot reach total mass 1. Both are located
-    by bisection to ``tol``; the returned interval takes the outer
-    (violating) side of the lower threshold and the satisfying side of the
-    upper one, so the equilibrium value is contained by construction. Each
-    candidate ``c0`` runs the chain once, and both tests read that run.
+    The lower endpoint is the threshold below which the chain is too small:
+    some number's win chance stays above ``c0`` even with all the remaining
+    mass on it, so the probabilities would overrun total mass 1. The upper
+    endpoint is the threshold above which even a uniform tail at the last
+    solved probability ``p_j`` cannot reach total mass 1:
+    ``(n - j) p_j < T_j``. Each is located by bisection to ``tol`` and
+    rounded outward, to the violating side: the lower endpoint is the last
+    too-small midpoint, the upper one the last tail-infeasible midpoint.
+    Every depth bisects over the same dyadic midpoints, so where each test
+    flips once in ``c0`` the interval contains the equilibrium value and
+    nests inside the interval of any shallower depth; at ``depth = n`` it
+    is at most ``tol`` wide. Each candidate ``c0`` runs the chain once, and
+    both tests read that run.
     """
-    if int(n) != n or n < 3:
-        raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
+    _require_n(n)
     if int(depth) != depth or not 1 <= depth <= n:
         raise ValueError(f"depth {depth} outside 1..{n}")
 
     chain = functools.cache(lambda c0: _run_chain(n, c0, depth))
 
-    def exists(c0: float) -> bool:
-        return chain(c0).complete
+    def tail_infeasible(c0: float) -> bool:
+        run = chain(c0)
+        return (n - len(run.found)) * run.found[-1] < run.tails[-1]
 
-    def tail_feasible(c0: float) -> bool:
-        return chain(c0).tail_feasible(n)
-
-    scan = np.linspace(0.01, 0.95, 48)
-
-    seed_exists = next((float(c) for c in scan if exists(c)), None)
-    if seed_exists is None:
+    small_walk = list(_c0_walk(lambda c0: not chain(c0).too_small, tol))
+    tail_walk = list(_c0_walk(tail_infeasible, tol))
+    lower = max((mid for mid, large in small_walk if not large), default=_C0_LO)
+    upper = min((mid for mid, large in tail_walk if large), default=_C0_HI)
+    if lower >= upper:
         raise ClassificationError(
-            f"no candidate win value admits a depth-{depth} chain for n={n}", []
+            f"the too-small and tail-infeasible thresholds cross for n={n}, "
+            f"depth={depth}: [{lower}, {upper}]",
+            [(mid, "large" if large else "small") for mid, large in small_walk + tail_walk],
         )
-    if exists(_C0_LO):
-        lower = _C0_LO  # the chain exists arbitrarily close to 0 (depth 1 does)
-    else:
-        bad, good = _C0_LO, seed_exists
-        while good - bad > tol:
-            mid = 0.5 * (bad + good)
-            if exists(mid):
-                good = mid
-            else:
-                bad = mid
-        lower = bad
-
-    seed_feasible = next((float(c) for c in scan[::-1] if tail_feasible(c)), None)
-    if seed_feasible is None:
-        raise ClassificationError(
-            f"no candidate win value satisfies the uniform-tail sum for "
-            f"n={n}, depth={depth}",
-            [],
-        )
-    good, bad = seed_feasible, _C0_HI
-    if tail_feasible(bad):
-        upper = bad
-    else:
-        while bad - good > tol:
-            mid = 0.5 * (good + bad)
-            if tail_feasible(mid):
-                good = mid
-            else:
-                bad = mid
-        upper = good
-
-    # re-verify the endpoint semantics after bisection: the lower endpoint
-    # must violate existence, the upper endpoint must satisfy the tail sum
-    if lower > _C0_LO and exists(lower):
-        lower = max(_C0_LO, lower - tol)
-    if upper < _C0_HI and not tail_feasible(upper):
-        upper -= tol
-
-    if lower >= upper:  # depth == n pinches the interval to the equilibrium value
-        lower, upper = min(lower, upper) - tol, max(lower, upper) + tol
     return C0Interval(lower=float(lower), upper=float(upper), depth=int(depth))
 
 
@@ -597,8 +555,7 @@ def best_symmetric(
     equilibrium: the maximizer is the uniform strategy, which no
     self-interested player sticks to.
     """
-    if int(n) != n or n < 3:
-        raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
+    _require_n(n)
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / n)]
     for _ in range(restarts):

@@ -306,11 +306,11 @@ class PrefixChance:
     With ``p_1..p_{i-1}`` fixed, ``c_i`` is the polynomial
     ``sum_m C(N, m) F_{i-1}[m] T^(N-m)`` in the tail mass ``T = R - p_i``,
     ``R = 1 - p_1 - ... - p_{i-1}`` (:attr:`rest`). Its coefficients are
-    nonnegative, so ``c_i`` increases with ``T`` on ``[0, R]``. Calling the
-    object evaluates it at candidate ``p_i`` (an array or a float) by
-    Horner's rule in ``R - p_i``, stable on ``[0, R]`` where every partial
-    sum is nonnegative; :meth:`at_tail` gives the value and its slope in
-    ``T``; :meth:`fix` appends ``p_i`` and advances the table one step.
+    nonnegative, so ``c_i`` increases with ``T`` on ``[0, R]``.
+    :meth:`at_tail` gives the value and its slope in ``T`` by Horner's rule,
+    stable on ``[0, R]`` where every partial sum is nonnegative; a candidate
+    ``p_i`` is evaluated at ``T = R - p_i``. :meth:`fix` appends ``p_i`` and
+    advances the table one step.
     Above ``n = 1000`` the Poisson-scaled form is evaluated instead, at
     ``log T``.
     """
@@ -325,14 +325,6 @@ class PrefixChance:
         else:
             self._table = np.eye(1, n)[0]  # F_0
             self._coef = [1.0] + [0.0] * (n - 1)  # C(N, m) F_{i-1}[m]
-
-    def __call__(self, p_i):
-        if self._scaled:
-            return np.vectorize(lambda t: self.at_tail(t)[0], otypes=[float])(self.rest - p_i)[()]
-        y, acc = self.rest - p_i, 0.0
-        for a in self._coef:
-            acc = acc * y + a
-        return acc
 
     def at_tail(self, tail: float) -> tuple[float, float]:
         """``c_i`` and ``dc_i/dT`` at the tail mass ``T = tail``, one Horner pass."""

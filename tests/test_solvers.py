@@ -9,7 +9,10 @@ import pytest
 
 import lupi.solvers
 from lupi import (
+    ClassificationError,
     ResourceLimitError,
+    SequentialEntry,
+    SequentialResult,
     Strategy,
     best_symmetric,
     bound_c0,
@@ -127,9 +130,9 @@ class TestSequentialSolve:
             if entry.status == "real-root" and entry.i > 1:
                 assert entry.residual <= 1e-12
 
-    def test_crossing_left_of_the_grid(self):
-        # c_2 - c0 is +0.339 at p_2 = 0 and already negative at the first
-        # grid point, so the first root lies between the two
+    def test_root_close_to_zero_probability(self):
+        # c_2 - c0 is +0.339 at p_2 = 0 and crosses zero at p_2 = 7.6e-4,
+        # close to the left end of [0, R]: the descent from T = R reaches it
         result = sequential_solve(1000, 0.3, 3)
         entry = result.entries[1]
         assert entry.status == "real-root"
@@ -138,9 +141,9 @@ class TestSequentialSolve:
         tail, residual, _ = _tail_root(lambda t: (t, 1.0), 1.0, 0.99)
         assert 1.0 - tail == pytest.approx(0.01, abs=1e-15) and residual <= 1e-15
 
-    def test_subset_route_above_the_size_limit(self):
-        # n = 2000 evaluates c_i by the Poisson-scaled form; p_2 and p_3 as
-        # the grid-and-bisection root finder placed them on the subset sum
+    def test_scaled_form_above_the_size_limit(self):
+        # n = 2000 evaluates c_i by the Poisson-scaled form; p_2 and p_3 are
+        # pinned to values found by an independent evaluator and root finder
         result = sequential_solve(2000, 0.3, 3)
         assert result.complete
         _, e2, e3 = result.entries
@@ -240,7 +243,7 @@ class TestTailRoot:
 
         monkeypatch.setattr(lupi.solvers, "_run_chain", counted)
         bound_c0(9, 4)
-        assert runs < 81
+        assert runs <= 30  # two walks of 14 midpoints, the shared ones run once
 
 
 class TestFindCneSequential:
@@ -277,16 +280,18 @@ class TestFindCneSequential:
 
 class TestBoundC0:
     def test_contains_equilibrium_value(self):
-        for n, depth in ((5, 2), (5, 4), (7, 3)):
-            interval = bound_c0(n, depth)
+        for n in range(3, 13):
             cne = solve_ne(n).c_ne
-            assert interval.lower < cne < interval.upper
+            for depth in range(1, n + 1):
+                interval = bound_c0(n, depth)
+                assert interval.lower < cne < interval.upper, (n, depth)
 
     def test_nested_as_depth_grows(self):
-        outer = bound_c0(7, 2)
-        inner = bound_c0(7, 4)
-        assert outer.lower <= inner.lower and inner.upper <= outer.upper
-        assert outer.lower < outer.upper
+        for n in range(3, 13):
+            intervals = [bound_c0(n, depth) for depth in range(1, n + 1)]
+            for depth, (outer, inner) in enumerate(zip(intervals, intervals[1:]), 2):
+                assert outer.lower <= inner.lower and inner.upper <= outer.upper, (n, depth)
+                assert inner.lower < inner.upper
 
     def test_nine_player_nesting(self):
         shallow = bound_c0(9, 4)
@@ -294,10 +299,24 @@ class TestBoundC0:
         assert shallow.lower <= deeper.lower and deeper.upper <= shallow.upper
 
     def test_full_depth_pins_the_value(self):
-        interval = bound_c0(5, 5)
-        cne = solve_ne(5).c_ne
-        assert interval.lower <= cne <= interval.upper
-        assert interval.upper - interval.lower <= 5e-3
+        for n in range(3, 13):
+            interval = bound_c0(n, n)
+            cne = solve_ne(n).c_ne
+            assert interval.lower <= cne <= interval.upper, n
+            assert interval.upper - interval.lower <= 1e-4, n  # the default tol
+
+    def test_crossed_walks_raise(self, monkeypatch):
+        # a chain that reads too small and tail-infeasible at every c0 puts
+        # the lower endpoint above the upper one
+        def crossed(n, c0, depth):
+            entries = [SequentialEntry(1, 0.1, "real-root", 0.0),
+                       SequentialEntry(2, None, "no-real-root", 0.1)]
+            return SequentialResult(c0, entries, 0.1, [0.9], too_small=True)
+
+        monkeypatch.setattr(lupi.solvers, "_run_chain", crossed)
+        with pytest.raises(ClassificationError) as info:
+            bound_c0(5, 2)
+        assert info.value.trace
 
     def test_depth_one_upper_is_uniform_chance(self):
         # depth 1: the tail sum is n p_1 >= 1, which flips exactly where the

@@ -248,7 +248,7 @@ class TestGradient:
                 scale = np.max(np.abs(jac[i - 1]))
                 assert np.max(np.abs(win_prob_gradient(i, s) - jac[i - 1])) <= 1e-13 * scale
 
-    def test_subset_sum_gradient(self):
+    def test_scaled_form_gradient(self):
         # the Poisson-scaled form's gradient against the product form's
         # Jacobian: each gradient entry is a difference of two nonnegative
         # parts, the through-tail slope D = |J_ii| and D + J_ij, so each form
@@ -450,7 +450,7 @@ class TestProductForm:
             assert win_prob(i, s) == _scaled(i, s.probs, 10**4)
 
     @pytest.mark.parametrize("n", [40, 200, 1000])
-    def test_subset_sum_agrees_at_moderate_n(self, n):
+    def test_scaled_form_agrees_at_moderate_n(self, n):
         # the Poisson-scaled form against the product form below the size
         # limit, where both serve: within the sum of their bounds
         rng = np.random.default_rng(3000 + n)
@@ -510,7 +510,7 @@ class TestProductForm:
         chance = PrefixChance(n)
         for i in range(1, 5):
             candidates = np.append(s.probs[i - 1], rng.random(7) * chance.rest)
-            for x, value in zip(candidates, chance(candidates)):
+            for x in candidates:
                 probs = s.probs.copy()
                 probs[i - 1] = x
                 if n > _PRODUCT_N_MAX:
@@ -520,8 +520,6 @@ class TestProductForm:
                     values, jac = _kernel(probs, n, i, jacobian=1)
                     ref, ref_slope = values[-1], -jac[0, i - 1]
                 tol = 2 * n * n * UNIT_ROUNDOFF
-                assert abs(value - ref) <= tol * ref
-                assert abs(chance(float(x)) - ref) <= tol * ref
                 at_tail, slope = chance.at_tail(chance.rest - float(x))
                 assert abs(at_tail - ref) <= tol * ref
                 assert abs(slope - ref_slope) <= tol * ref_slope
