@@ -21,7 +21,12 @@ CDF of the strategy on right-closed intervals: with ``u`` uniform on
 ``k`` whose cumulative probability is ``>= v``, so zero-probability numbers
 are never picked. Everything downstream is integer counting, so the merged
 result over shards equals the single-threaded result for the same
-``(seed, shards)`` no matter how shards would be scheduled.
+``(seed, shards)`` no matter how shards would be scheduled or cut into blocks.
+
+Up to ``n = 64`` a pick is the count of ``k < n - 1`` with ``cum_k < v``,
+and the winner is the lowest bit of a ``uint64`` mask of the numbers picked
+exactly once; above that a binary search and per-round counts give the same
+picks and winners.
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ from .game import Strategy
 
 GENERATOR_NAME = "philox4x64-10"
 
-# Rounds are simulated in fixed-size blocks inside each shard; the block
-# size is part of the reproducibility contract only in that it is constant.
-_BLOCK_ROUNDS = 1 << 16
+# Rounds are simulated in blocks inside each shard. Draws are consumed
+# round-major, so the block size changes no count; 2^12 is set by timings
+# at n = 5, 12 and 64 (BENCH_simulate.json).
+_BLOCK_ROUNDS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -150,6 +156,33 @@ def _round_winners(picks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return unique.any(axis=1), unique.argmax(axis=1)
 
 
+def _threshold_picks(cum: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """0-based picks, ``sum_k [cum_k < v]`` over ``k < n - 1``, as uint8.
+
+    Equals ``np.searchsorted(cum, v, side="left")`` for ``v`` in ``(0, 1]``
+    and ``cum[-1] == 1.0``, ties and an ulp of overshoot in ``cum`` included.
+    """
+    picks = np.zeros(v.shape, dtype=np.uint8)
+    below = np.empty(v.shape, dtype=bool)
+    for c in cum[:-1]:
+        np.less(c, v, out=below)
+        picks += below.view(np.uint8)
+    return picks
+
+
+def _mask_winners(picks: np.ndarray) -> np.ndarray:
+    """Per round, whether the last row's player wins; ``picks`` is (players,
+    rounds) of 0-based numbers below 64."""
+    bits = np.left_shift(np.uint64(1), picks, dtype=np.uint64)
+    once = bits[0].copy()
+    twice = np.zeros_like(once)
+    for b in bits[1:]:
+        twice |= once & b
+        once |= b
+    once &= ~twice  # numbers picked exactly once
+    return once & -once == bits[-1]  # lowest set bit, in two's complement
+
+
 def simulate(
     pi: Strategy,
     p: Strategy,
@@ -185,6 +218,7 @@ def simulate(
         raise ValueError(f"shards must be a positive integer, got {shards}")
     if int(seed) != seed or not 0 <= seed < 2**64:
         raise ValueError("seed must be an integer in [0, 2^64)")
+    rounds, shards, seed = int(rounds), int(shards), int(seed)
     n = p.n
 
     cum_p = np.cumsum(p.probs)
@@ -206,13 +240,17 @@ def simulate(
         while done < shard_rounds:
             block = min(_BLOCK_ROUNDS, shard_rounds - done)
             u = rng.random((block, n))
-            picks = np.empty((block, n), dtype=np.int64)
-            picks[:, : n - 1] = np.searchsorted(cum_p, 1.0 - u[:, : n - 1], side="left")
-            picks[:, n - 1] = np.searchsorted(cum_pi, 1.0 - u[:, n - 1], side="left")
-
-            has_winner, winning_number = _round_winners(picks, n)
-            observed = picks[:, n - 1]
-            observed_won = has_winner & (winning_number == observed)
+            if n <= 64:  # a round's picks fit one uint64 mask
+                v = np.subtract(1.0, u.T, order="C")  # one row per player
+                picks = np.vstack((_threshold_picks(cum_p, v[:-1]), _threshold_picks(cum_pi, v[-1:])))
+                observed, observed_won = picks[-1], _mask_winners(picks)
+            else:
+                picks = np.empty((block, n), dtype=np.int64)
+                picks[:, : n - 1] = np.searchsorted(cum_p, 1.0 - u[:, : n - 1], side="left")
+                picks[:, n - 1] = np.searchsorted(cum_pi, 1.0 - u[:, n - 1], side="left")
+                has_winner, winning_number = _round_winners(picks, n)
+                observed = picks[:, n - 1]
+                observed_won = has_winner & (winning_number == observed)
 
             chosen_counts += np.bincount(observed, minlength=n)
             win_counts += np.bincount(observed[observed_won], minlength=n)
@@ -236,8 +274,8 @@ def simulate(
         win_counts=[int(v) for v in win_counts],
         est_ci=est,
         std_err=err,
-        seed=int(seed),
-        shards=int(shards),
+        seed=seed,
+        shards=shards,
         generator=GENERATOR_NAME,
         w_estimate=float(w),
         w_std_err=float(math.sqrt(w * (1.0 - w) / rounds)),

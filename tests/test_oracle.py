@@ -22,7 +22,8 @@ from lupi import (
     simulate,
     win_prob,
 )
-from lupi.oracle import _occupancy_table, _round_winners
+from lupi import oracle
+from lupi.oracle import _mask_winners, _occupancy_table, _round_winners, _threshold_picks
 
 
 def random_strategy(rng, n):
@@ -160,11 +161,19 @@ class TestExactWinProb:
 
 class TestSimulate:
     def test_vectorized_winner_matches_rule(self):
-        # the simulator's batched winner detection against the game rule
+        # both batched winner rules against the game rule; the observed
+        # player is the last column. Rows drawn from a few numbers collide
+        # often; the crafted rows have no winner, only the observed player
+        # unique, and the observed player unique but beaten by a lower number
         rng = np.random.default_rng(101)
-        for n in (3, 5, 8):
-            picks = rng.integers(0, n, size=(500, n))
+        for n in (3, 5, 8, 64):
+            crafted = [[0] * n, [0] * (n - 1) + [n - 1], [0] + [1] * (n - 2) + [n - 1]]
+            picks = np.vstack(
+                (rng.integers(0, n, size=(500, n)), rng.integers(0, max(2, n // 8), size=(500, n)), crafted)
+            )
             has_winner, winning = _round_winners(picks, n)
+            observed_won = _mask_winners(np.ascontiguousarray(picks.T, dtype=np.uint8))
+            assert observed_won[-3:].tolist() == [False, True, False]
             for row in range(picks.shape[0]):
                 profile = ChoiceProfile(tuple(int(v) + 1 for v in picks[row]), n)
                 result = lowest_unique_winner(profile)
@@ -173,6 +182,64 @@ class TestSimulate:
                 else:
                     assert has_winner[row]
                     assert winning[row] + 1 == result[1]
+                assert observed_won[row] == (result is not None and result[0] == n)
+
+    def test_threshold_picks(self):
+        # right-closed intervals: v == cum_k picks k, v = 1.0 picks the last
+        # number, and the zero-probability number 3 (cum_1 == cum_2) is skipped
+        cum = np.array([0.25, 0.5, 0.5, 0.75, 1.0])
+        up = np.nextafter
+        v = np.array([0.25, 0.5, 0.75, 1.0, up(0.25, 1), up(0.5, 1), up(0.0, 1), 0.1])
+        assert _threshold_picks(cum, v).tolist() == [0, 1, 3, 4, 1, 3, 0, 0]
+        # a cumulative sum that overshoots 1 by an ulp before the closing 1.0
+        over = np.array([0.5, up(1.0, 2), 1.0])
+        assert _threshold_picks(over, np.array([1.0, 0.75])).tolist() == [1, 1]
+        rng = np.random.default_rng(3)
+        for c in (cum, over, np.cumsum(np.full(64, 1 / 64))):
+            c = c.copy()
+            c[-1] = 1.0
+            grid = np.concatenate((c, up(c, 0), up(c, 2), 1.0 - rng.random(1000)))
+            grid = grid[(grid > 0) & (grid <= 1)]
+            picks = _threshold_picks(c, grid)
+            assert picks.dtype == np.uint8
+            assert (picks == np.searchsorted(c, grid, side="left")).all()
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_simulate_follows_game_rule(self, n):
+        # the two sides of the uint64-mask switch against the same stream
+        # replayed by hand: inverse-CDF picks and the game rule per round.
+        # Opponents crowd the low numbers and the observed player often
+        # picks the top one, so the highest bit decides many rounds
+        rng = np.random.default_rng(n)
+        raw = rng.random(n)
+        raw[4:] *= 1e-3
+        raw[[1, n // 2]] = 0.0
+        top = np.full(n, 0.5 / n)
+        top[-1] += 0.5
+        p, pi = Strategy(raw / raw.sum()), Strategy(top)
+        rounds, seed = 3000, 99
+        stats = simulate(pi, p, rounds, seed=seed)
+        cum_p, cum_pi = np.cumsum(p.probs), np.cumsum(pi.probs)
+        cum_p[-1] = cum_pi[-1] = 1.0
+        u = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))).random((rounds, n))
+        win_counts = [0] * n
+        for row in u:
+            choices = [int(np.searchsorted(cum_p, 1.0 - x, side="left")) + 1 for x in row[:-1]]
+            choices.append(int(np.searchsorted(cum_pi, 1.0 - row[-1], side="left")) + 1)
+            result = lowest_unique_winner(ChoiceProfile(tuple(choices), n))
+            if result is not None and result[0] == n:
+                win_counts[result[1] - 1] += 1
+        assert stats.win_counts == win_counts
+        assert win_counts[-1] > 0 and sum(win_counts) > win_counts[-1]
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_block_size_changes_no_count(self, n, monkeypatch):
+        # draws are consumed round-major, so an odd block size that splits
+        # every shard unevenly reproduces every count
+        s = Strategy.uniform(n)
+        default = simulate(s, s, 100_001, seed=31, shards=3).to_json_obj()
+        monkeypatch.setattr(oracle, "_BLOCK_ROUNDS", 4097)
+        assert simulate(s, s, 100_001, seed=31, shards=3).to_json_obj() == default
 
     def test_golden_win_counts(self):
         # pinned counts of two seeded runs: a change to the random stream,
@@ -264,3 +331,10 @@ class TestSimulate:
             simulate(u, u, 10, seed=1, shards=0)
         with pytest.raises(ValueError):
             simulate(u, Strategy.uniform(4), 10, seed=1)
+        with pytest.raises(ValueError):
+            simulate(u, u, 10.5, seed=1)
+        # integral floats are accepted and reported as ints
+        reference = simulate(u, u, 1000, seed=1, shards=2).to_json_obj()
+        stats = simulate(u, u, 1000.0, seed=1.0, shards=2.0)
+        assert stats.to_json_obj() == reference
+        assert all(type(v) is int for v in (stats.rounds, stats.seed, stats.shards))
