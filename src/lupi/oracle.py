@@ -19,9 +19,15 @@ variates, consumed round-major as one ``(rounds, n)`` matrix per block
 CDF of the strategy on right-closed intervals: with ``u`` uniform on
 ``[0, 1)``, ``v = 1 - u`` lies in ``(0, 1]`` and the pick is the smallest
 ``k`` whose cumulative probability is ``>= v``, so zero-probability numbers
-are never picked. Everything downstream is integer counting, so the merged
-result over shards equals the single-threaded result for the same
-``(seed, shards)`` no matter how shards would be scheduled or cut into blocks.
+are never picked.
+
+A shard's rounds are cut into contiguous spans, at most one per usable CPU,
+and the spans run on threads (numpy releases the GIL in the Philox fill and
+in the ufuncs). Philox is counter-based, so a span starting at round ``r``
+enters its shard's stream directly at counter ``r * n / 4`` and draws
+exactly what one pass over the whole shard would. Everything downstream is
+integer counting, summed over spans, so every count and estimate depends on
+``(seed, shards)`` alone, not on the CPU count, the spans or the blocks.
 
 Up to ``n = 64`` a pick is the count of ``k < n - 1`` with ``cum_k < v``,
 and the winner is the lowest bit of a ``uint64`` mask of the numbers picked
@@ -33,6 +39,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +50,20 @@ from .game import Strategy
 
 GENERATOR_NAME = "philox4x64-10"
 
-# Rounds are simulated in blocks inside each shard. Draws are consumed
-# round-major, so the block size changes no count; 2^12 is set by timings
-# at n = 5, 12 and 64 (BENCH_simulate.json).
-_BLOCK_ROUNDS = 1 << 12
+# Rounds are simulated in blocks inside each span, of at most _BLOCK_ROUNDS
+# rounds and _BLOCK_DRAWS uniforms: 2^13 rounds up to n = 16, 2^11 at
+# n = 64, 131 at n = 1000. Larger blocks let threads overlap longer numpy
+# calls; smaller ones stay in cache and keep a run's temporaries from being
+# paged in afresh every block. Draws are consumed round-major, so the block
+# size changes no count; the sizes are set by timings at n = 5, 12, 64 and
+# 65 with the spans in place (BENCH_parallel_simulate.json).
+_BLOCK_ROUNDS = 1 << 13
+_BLOCK_DRAWS = 1 << 17
+
+# Spans hold about this many rounds or more; it must be at least 4, so that
+# span starts, multiples of 4, stay distinct. A run shorter than two spans
+# starts no thread.
+_MIN_SPAN_ROUNDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -183,6 +201,96 @@ def _mask_winners(picks: np.ndarray) -> np.ndarray:
     return once & -once == bits[-1]  # lowest set bit, in two's complement
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spans(rounds: int, shards: int, cpus: int) -> list[tuple[int, int, int]]:
+    """``(shard, first_round, span_rounds)`` for every span of the run.
+
+    Only the first ``min(shards, rounds)`` shards get rounds. A shard is cut
+    into at most ``cpus`` contiguous spans of about ``_MIN_SPAN_ROUNDS``
+    rounds or more, each starting at a multiple of 4 rounds.
+    """
+    base_rounds, extra = divmod(rounds, shards)
+    spans = []
+    for shard in range(min(shards, rounds)):
+        shard_rounds = base_rounds + (1 if shard < extra else 0)
+        cuts = max(1, min(cpus, shard_rounds // _MIN_SPAN_ROUNDS))
+        starts = [4 * (shard_rounds * j // (4 * cuts)) for j in range(cuts)] + [shard_rounds]
+        spans += [(shard, a, b - a) for a, b in zip(starts, starts[1:])]
+    return spans
+
+
+def _span_counts(
+    cum_p: np.ndarray, cum_pi: np.ndarray, seed: int, shard: int, first_round: int, span_rounds: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-number pick and win counts of the observed player over one span.
+
+    The span's draws start at round ``first_round`` of the Philox stream
+    keyed ``(seed, shard)``: each double takes one uint64 and each counter
+    step gives four, so with ``first_round`` a multiple of 4 the stream is
+    entered at counter ``first_round * n / 4``.
+    """
+    n = cum_p.size
+    key = np.array([seed, shard], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key, counter=first_round * n // 4))
+    chosen_counts = np.zeros(n, dtype=np.int64)
+    win_counts = np.zeros(n, dtype=np.int64)
+    block_rounds = min(_BLOCK_ROUNDS, max(1, _BLOCK_DRAWS // n))
+    done = 0
+    while done < span_rounds:
+        block = min(block_rounds, span_rounds - done)
+        u = rng.random((block, n))
+        if n <= 64:  # a round's picks fit one uint64 mask
+            v = np.subtract(1.0, u.T, order="C")  # one row per player
+            picks = np.vstack((_threshold_picks(cum_p, v[:-1]), _threshold_picks(cum_pi, v[-1:])))
+            observed, observed_won = picks[-1], _mask_winners(picks)
+        else:
+            picks = np.empty((block, n), dtype=np.int64)
+            picks[:, : n - 1] = np.searchsorted(cum_p, 1.0 - u[:, : n - 1], side="left")
+            picks[:, n - 1] = np.searchsorted(cum_pi, 1.0 - u[:, n - 1], side="left")
+            has_winner, winning_number = _round_winners(picks, n)
+            observed = picks[:, n - 1]
+            observed_won = has_winner & (winning_number == observed)
+
+        chosen_counts += np.bincount(observed, minlength=n)
+        win_counts += np.bincount(observed[observed_won], minlength=n)
+        done += block
+    return chosen_counts, win_counts
+
+
+def _in_threads(run, jobs: list[tuple], workers: int) -> list:
+    """``[run(*job) for job in jobs]`` on ``workers`` threads.
+
+    The calling thread is one of them and only ``workers - 1`` are started;
+    thread ``t`` takes every ``workers``-th job from job ``t``. An exception
+    in any thread is raised here once all have finished.
+    """
+    results: list = [None] * len(jobs)
+    errors: list[BaseException] = []
+
+    def work(t: int) -> None:
+        try:
+            for j in range(t, len(jobs), workers):
+                results[j] = run(*jobs[j])
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def simulate(
     pi: Strategy,
     p: Strategy,
@@ -195,9 +303,12 @@ def simulate(
 
     Fully reproducible from ``(seed, shards)``. Rounds are split across
     shards as evenly as possible (earlier shards take the remainder); shard
-    ``s`` draws from its own Philox stream keyed ``(seed, s)``, so the run
-    could be executed shard-parallel and merged without changing a single
-    count.
+    ``s`` draws from its own Philox stream keyed ``(seed, s)``. Each shard's
+    rounds are cut into contiguous spans, at most one per usable CPU, that
+    run on threads; a span enters its shard's stream at its first round's
+    Philox counter, so the result is the same for any CPU count. A run
+    shorter than ``2 * _MIN_SPAN_ROUNDS`` rounds stays on the calling
+    thread.
 
     Args:
         pi: Strategy of the observed player.
@@ -225,37 +336,14 @@ def simulate(
     cum_pi = np.cumsum(pi.probs)
     cum_p[-1] = cum_pi[-1] = 1.0  # close the last interval exactly
 
-    win_counts = np.zeros(n, dtype=np.int64)
-    chosen_counts = np.zeros(n, dtype=np.int64)
-    total_wins = 0
-
-    base_rounds, extra = divmod(rounds, shards)
-    for shard in range(shards):
-        shard_rounds = base_rounds + (1 if shard < extra else 0)
-        if shard_rounds == 0:
-            continue
-        key = np.array([seed, shard], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        done = 0
-        while done < shard_rounds:
-            block = min(_BLOCK_ROUNDS, shard_rounds - done)
-            u = rng.random((block, n))
-            if n <= 64:  # a round's picks fit one uint64 mask
-                v = np.subtract(1.0, u.T, order="C")  # one row per player
-                picks = np.vstack((_threshold_picks(cum_p, v[:-1]), _threshold_picks(cum_pi, v[-1:])))
-                observed, observed_won = picks[-1], _mask_winners(picks)
-            else:
-                picks = np.empty((block, n), dtype=np.int64)
-                picks[:, : n - 1] = np.searchsorted(cum_p, 1.0 - u[:, : n - 1], side="left")
-                picks[:, n - 1] = np.searchsorted(cum_pi, 1.0 - u[:, n - 1], side="left")
-                has_winner, winning_number = _round_winners(picks, n)
-                observed = picks[:, n - 1]
-                observed_won = has_winner & (winning_number == observed)
-
-            chosen_counts += np.bincount(observed, minlength=n)
-            win_counts += np.bincount(observed[observed_won], minlength=n)
-            total_wins += int(observed_won.sum())
-            done += block
+    cpus = _usable_cpus()
+    spans = _spans(rounds, shards, cpus)
+    # a run too small for two minimum spans stays on the calling thread
+    workers = max(1, min(cpus, len(spans), rounds // _MIN_SPAN_ROUNDS))
+    parts = _in_threads(functools.partial(_span_counts, cum_p, cum_pi, seed), spans, workers)
+    # integer sums: the same counts in any order, for any CPU count
+    chosen_counts = sum(chosen for chosen, _ in parts)
+    win_counts = sum(wins for _, wins in parts)
 
     est: list[float | None] = []
     err: list[float | None] = []
@@ -268,7 +356,7 @@ def simulate(
         est.append(float(rate))
         err.append(float(math.sqrt(rate * (1.0 - rate) / chosen_counts[k])))
 
-    w = total_wins / rounds
+    w = int(win_counts.sum()) / rounds
     return SimulationStats(
         rounds=rounds,
         win_counts=[int(v) for v in win_counts],

@@ -14,7 +14,7 @@ drive it, all indexed by a 1-based variable position ``i``:
 * ``differentiate``: partial derivative with respect to ``p_i``;
 * ``eliminate``: substitute ``p_i = 0``, dropping every term containing it;
 * ``project_linear``: keep exactly the terms linear in ``p_i`` (the rounds
-  where number ``i`` is picked exactly once), realized as
+  where number ``i`` is picked exactly once), which is
   ``p_i * eliminate(differentiate(q, i), i)``.
 
 Subtracting the linear projection index by index removes every "someone
@@ -265,9 +265,9 @@ def project_linear(q: SparsePolynomial, i: int) -> SparsePolynomial:
     """
     _check_index(q.nvars, i)
     j = i - 1
-    reduced = eliminate(differentiate(q, i), i)
-    out = {exps[:j] + (1,) + exps[j + 1 :]: coeff for exps, coeff in reduced.terms.items()}
-    return SparsePolynomial._of_clean_terms(q.nvars, out)
+    return SparsePolynomial._of_clean_terms(
+        q.nvars, {e: c for e, c in q.terms.items() if e[j] == 1}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,16 @@ class TestLazyExports:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_oracle_import_loads_no_thread_pool(self):
+        # the simulator's threads come from ``threading``; the pool module
+        # would add its import time to every process that loads the oracle
+        proc = run_fresh(
+            "import sys\n"
+            "import lupi.oracle\n"
+            "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestCliStartup:
     @staticmethod

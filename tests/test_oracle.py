@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -83,6 +84,42 @@ def descend_win_prob(i, p):
 
     descend(0, n - 1, 1, 1.0)
     return math.fsum(terms)
+
+
+def replay_counts(u, cum_p, cum_pi):
+    """Pick and win counts of the observed player (last column) over rows of
+    uniforms, by inverse-CDF picks and the game rule, one round at a time."""
+    n = u.shape[1]
+    chosen, wins = [0] * n, [0] * n
+    for row in u:
+        choices = [int(np.searchsorted(cum_p, 1.0 - x, side="left")) + 1 for x in row[:-1]]
+        choices.append(int(np.searchsorted(cum_pi, 1.0 - row[-1], side="left")) + 1)
+        chosen[choices[-1] - 1] += 1
+        result = lowest_unique_winner(ChoiceProfile(tuple(choices), n))
+        if result is not None and result[0] == n:
+            wins[result[1] - 1] += 1
+    return chosen, wins
+
+
+def sparse_and_uniform(n):
+    """Opponent strategy with zero-probability numbers, observed player uniform."""
+    raw = np.random.default_rng(n).random(n)
+    raw[[1, n // 2]] = 0.0
+    return Strategy(raw / raw.sum()), Strategy.uniform(n)
+
+
+@pytest.fixture
+def thread_calls(monkeypatch):
+    """``(spans, workers)`` of every run the simulator hands to its threads."""
+    calls = []
+    in_threads = oracle._in_threads
+
+    def spy(run, jobs, workers):
+        calls.append((len(jobs), workers))
+        return in_threads(run, jobs, workers)
+
+    monkeypatch.setattr(oracle, "_in_threads", spy)
+    return calls
 
 
 class TestExactWinProb:
@@ -240,6 +277,85 @@ class TestSimulate:
         default = simulate(s, s, 100_001, seed=31, shards=3).to_json_obj()
         monkeypatch.setattr(oracle, "_BLOCK_ROUNDS", 4097)
         assert simulate(s, s, 100_001, seed=31, shards=3).to_json_obj() == default
+
+    @pytest.mark.parametrize("n", [5, 64, 65])
+    def test_span_enters_stream_by_counter(self, n):
+        # a span started at round r by its Philox counter counts what the
+        # game rule gives on rows r: of the whole shard stream replayed by hand
+        p, pi = sparse_and_uniform(n)
+        cum_p, cum_pi = np.cumsum(p.probs), np.cumsum(pi.probs)
+        cum_p[-1] = cum_pi[-1] = 1.0
+        seed, shard, first, count = 2024, 2, 4 * 257, 1000
+        chosen, wins = oracle._span_counts(cum_p, cum_pi, seed, shard, first, count)
+        key = np.array([seed, shard], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random((first + count, n))[first:]
+        assert (chosen.tolist(), wins.tolist()) == replay_counts(u, cum_p, cum_pi)
+        assert sum(wins) > 0
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("n", [5, 12, 64, 65])
+    def test_span_split_changes_no_count(self, n, shards, monkeypatch, thread_calls):
+        # three fake CPUs and 64-round minimum spans cut every shard in three,
+        # at offsets the odd 4097-round blocks do not align with; the summed
+        # counts equal those of the same run on the calling thread alone
+        p, pi = sparse_and_uniform(n)
+        rounds = 30_001
+        monkeypatch.setattr(oracle, "_BLOCK_ROUNDS", 4097)
+        monkeypatch.setattr(oracle, "_BLOCK_DRAWS", 4097 * n)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+        unsplit = simulate(pi, p, rounds, seed=47, shards=shards).to_json_obj()
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(oracle, "_MIN_SPAN_ROUNDS", 64)
+        assert simulate(pi, p, rounds, seed=47, shards=shards).to_json_obj() == unsplit
+        assert thread_calls == [(shards, 1), (3 * shards, 3)]
+
+    def test_many_threads_switching_often(self, monkeypatch, thread_calls):
+        # more threads than cores, forced to trade the interpreter lock every
+        # microsecond: a lost or doubled span would move a count
+        u = Strategy.uniform(5)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+        reference = simulate(u, u, 20_003, seed=11, shards=5).to_json_obj()
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(oracle, "_MIN_SPAN_ROUNDS", 4)
+        interval = sys.getswitchinterval()
+        start = time.perf_counter()
+        try:
+            sys.setswitchinterval(1e-6)
+            stats = simulate(u, u, 20_003, seed=11, shards=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - start < 60.0
+        assert stats.to_json_obj() == reference
+        assert thread_calls == [(5, 1), (40, 8)]
+
+    def test_thread_error_reaches_caller(self):
+        # job 3 of 6 on 4 threads runs on a started thread, not the caller's
+        def run(j):
+            if j == 3:
+                raise ValueError("job 3")
+            return j
+
+        with pytest.raises(ValueError, match="job 3"):
+            oracle._in_threads(run, [(j,) for j in range(6)], 4)
+        assert oracle._in_threads(lambda j: j, [(j,) for j in range(6)], 4) == list(range(6))
+
+    def test_short_run_starts_no_thread(self, monkeypatch, thread_calls):
+        # with eight CPUs, a run shorter than two minimum spans stays on the
+        # calling thread, and a run of exactly two is shared by two threads
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)
+        u = Strategy.uniform(3)
+        two_spans = 2 * oracle._MIN_SPAN_ROUNDS
+        simulate(u, u, two_spans - 1, seed=3)
+        simulate(u, u, two_spans, seed=3)
+        assert thread_calls == [(1, 1), (2, 2)]
+
+    def test_empty_shards_skipped(self):
+        # only the first min(shards, rounds) shards get a round, and shard s
+        # draws from the stream keyed (seed, s) whatever the shard count
+        u = Strategy.uniform(5)
+        many = simulate(u, u, 10, seed=1, shards=10**9)
+        assert many.win_counts == simulate(u, u, 10, seed=1, shards=10).win_counts
+        assert many.shards == 10**9
 
     def test_golden_win_counts(self):
         # pinned counts of two seeded runs: a change to the random stream,

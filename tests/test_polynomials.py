@@ -103,6 +103,17 @@ class TestOperators:
         q = poly(2, {(1, 0): 1, (0, 1): 1, (0, 3): 1})  # p1 + p2 + p2^3
         assert project_linear(q, 2) == poly(2, {(0, 1): 1})
 
+    def test_project_is_composite_of_operators(self):
+        # the direct filter against its definition by differentiation and
+        # elimination; high degrees make every exponent 0..3 of p_i appear
+        rng = random.Random(12)
+        for _ in range(60):
+            nvars = rng.randint(1, 5)
+            q = random_poly(rng, nvars, max_terms=12, max_degree=8)
+            for i in range(1, nvars + 1):
+                composite = SparsePolynomial.variable(nvars, i) * eliminate(differentiate(q, i), i)
+                assert project_linear(q, i) == composite
+
     def test_outputs_stay_clean(self):
         rng = random.Random(77)
         for _ in range(30):
