@@ -1,11 +1,10 @@
-"""Size caps, environment-backed configuration, tolerances and errors.
+"""Size caps, the cache location, tolerances and errors.
 
 Exact polynomial expansion and enumeration grow exponentially, so both
 check a player cap first; the Newton equilibrium solve keeps a practical
-one, and the closed-form evaluator, polynomial in ``n``, has none. Only the
-symbolic cap reads the environment: it resolves in the order explicit
-argument, ``LUPI_N_MAX_SYMBOLIC``, built-in default. The equilibrium and
-oracle caps come from the argument or the default.
+one, and the closed-form evaluator, polynomial in ``n``, has none. Each cap
+comes from its function's argument or the default here. Only the cache
+path reads the environment (``LUPI_CACHE_PATH``).
 
 This module imports no numpy, so the command-line front end can read a
 warm cache and report errors without loading it.
@@ -40,23 +39,6 @@ class ClassificationError(RuntimeError):
     def __init__(self, message: str, trace: list[tuple[float, str]]):
         super().__init__(message)
         self.trace = trace
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-
-
-def n_max_symbolic(override: int | None = None) -> int:
-    """Largest player count accepted by the exact polynomial layer."""
-    if override is not None:
-        return override
-    return _env_int("LUPI_N_MAX_SYMBOLIC", N_MAX_SYMBOLIC_DEFAULT)
 
 
 def cache_path(override: str | None = None) -> str:

@@ -22,7 +22,7 @@ wins at a number <= k" outcome, and eliminating ``p_i`` from the result
 gives the exact polynomial for the chance of winning with number ``i``.
 
 Expansion size grows like the central binomial coefficient, so builders
-refuse ``n`` above a configurable cap (default 8, env ``LUPI_N_MAX_SYMBOLIC``);
+refuse ``n`` above a cap (default 8, raised by their ``limit=`` argument);
 larger games belong to the closed-form evaluator.
 """
 
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping
 
-from .config import ResourceLimitError, n_max_symbolic
+from .config import N_MAX_SYMBOLIC_DEFAULT, ResourceLimitError
 
 Exponents = tuple[int, ...]
 
@@ -376,10 +376,10 @@ def _check_k(n: int, k: int) -> None:
 def _check_symbolic_n(n: int, limit: int | None) -> None:
     if int(n) != n or n < 3:
         raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
-    cap = n_max_symbolic(limit)
+    cap = N_MAX_SYMBOLIC_DEFAULT if limit is None else limit
     if n > cap:
         raise ResourceLimitError(
             f"symbolic expansion for n={n} has {expansion_term_count(n)} terms, "
-            f"above the cap n={cap}; raise LUPI_N_MAX_SYMBOLIC or use the "
+            f"above the cap n={cap}; pass a larger limit= or use the "
             f"closed-form evaluator"
         )

@@ -22,7 +22,6 @@ their agreement is a meaningful cross-check.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -315,13 +314,15 @@ def _run_chain(n: int, c0: float, depth: int) -> SequentialResult:
 def _c0_walk(is_large, width: float):
     """Bisect the win value over ``(_C0_LO, _C0_HI)``, yielding each midpoint
     ``0.5 (lo + hi)`` and ``is_large(mid)`` until the bracket is ``width``
-    wide. Every walk visits the same dyadic midpoints until its side test
-    differs, so walks of different tests and depths stay comparable."""
+    wide or no double lies inside it. Walks of different tests and depths
+    visit the same dyadic midpoints until their side tests differ."""
     lo, hi = _C0_LO, _C0_HI
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         large = is_large(mid)
         yield mid, large
+        if mid in (lo, hi):
+            return
         if large:
             hi = mid
         else:
@@ -360,8 +361,6 @@ def sequential_solve(
 def find_cne_sequential(
     n: int,
     tol: float = 1e-8,
-    *,
-    max_bisections: int = 200,
 ) -> SelfConsistentSolution:
     """Locate the equilibrium win value by bisecting the sequential chain.
 
@@ -371,8 +370,8 @@ def find_cne_sequential(
     when the chance stays below ``c0`` with none of the mass, or when the
     complete chain leaves tail mass ``T_n > 0`` over. Bisection stops at
     the first complete chain with ``T_n <= tol``, or when the ``c0``
-    interval collapses to machine width; the best complete chain seen is
-    returned either way.
+    interval is ``1e-16`` wide or no double lies inside it; the best
+    complete chain seen is returned either way.
 
     The assembled strategy takes the first ``n - 1`` chain probabilities
     and closes the last one with the remaining mass ``T_{n-1}``, which pins
@@ -383,8 +382,7 @@ def find_cne_sequential(
     walk = _c0_walk(lambda c0: not chain(c0).too_small, 1e-16)
     trace: list[tuple[float, str]] = []
     best: tuple[float, float, SequentialResult] | None = None  # (sum_error, c0, chain)
-    iterations = 0
-    for iterations, (mid, large) in enumerate(itertools.islice(walk, max_bisections), 1):
+    for iterations, (mid, large) in enumerate(walk, 1):
         run = chain(mid)
         if run.complete:
             err = run.tails[-1]
@@ -432,6 +430,8 @@ def bound_c0(
     _require_n(n)
     if int(depth) != depth or not 1 <= depth <= n:
         raise ValueError(f"depth {depth} outside 1..{n}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol}")
 
     chain = functools.cache(lambda c0: _run_chain(n, c0, depth))
 

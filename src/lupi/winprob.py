@@ -22,7 +22,7 @@ product is scaled instead (``x -> x / N``, factor ``j`` by ``e^(-N p_j)``):
 factor ``j`` becomes the Poisson(``N p_j``) row ``r_j`` with its ``k = 1``
 entry set to 0 (after C. Loader, "Fast and Accurate Computation of Binomial
 Probabilities", 2000), ``g = r_1 * ... * r_(i-1)`` lies in ``[0, 1]``, and
-``c_i = sum_m g[m] w_m``,
+one walk over these tables gives every ``c_i = sum_m g[m] w_m`` asked for,
 ``log w_m = N S_(i-1) + log(N! / ((N-m)! N^m)) + (N-m) log1p(-S_i)``.
 """
 
@@ -93,11 +93,6 @@ class PayoffReport:
 
     def to_json_obj(self) -> dict:
         return {"w": self.w, "per_number": self.per_number.to_json_obj()}
-
-
-def _check_i(i: int, n: int) -> None:
-    if int(i) != i or not 1 <= i <= n:
-        raise ValueError(f"number index {i} outside 1..{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,45 +252,58 @@ def _scaled_chance(table, weights, log_tail: float) -> tuple[float, float]:
     return float(value), float(slope)
 
 
-def _scaled(i: int, probs: np.ndarray, n: int, gradient: bool = False):
-    """``c_i`` by the Poisson-scaled form or, with ``gradient``, its
-    derivatives in all ``n`` raw coordinates.
+def _scaled(probs: np.ndarray, n: int, upto: int, every: bool = False, gradient: bool = False):
+    """``c_upto`` by the Poisson-scaled form, ``c_1..c_upto`` with ``every``,
+    or with ``gradient`` the derivatives of ``c_upto`` in all ``n`` raw
+    coordinates. One walk advances the prefix table ``G_j = r_1 * ... * r_j``
+    and reads ``c_i`` off ``G_(i-1)`` only at the rows asked for. It stops at
+    the first table that has underflowed to a single 0, since every later
+    one would too: ``c_i`` and its derivatives are 0 from that row on.
 
     ``p_j``, ``j < i``, enters ``r_j`` through ``lam_j = N p_j``, where
     ``d pmf(k) / d lam = pmf(k-1) - pmf(k)``, and ``log w`` through
     ``N S_(i-1)`` and ``log1p(-S_i)``. The ``-pmf(k)`` part cancels the
     ``N S_(i-1)`` part, so entry ``j`` is ``N / lam_j (G_(j-1) * k r_j) . B_j``
-    less the slope in ``T``, with ``G_j = r_1 * ... * r_j`` and the adjoint
+    less the slope in ``T``, with the adjoint
     ``B_j[a] = sum_b (r_(j+1) * ... * r_(i-1))[b] w[a+b]`` from one reverse sweep.
     """
     big_n = n - 1
-    lams = [big_n * float(p) for p in probs[: i - 1]]
-    rows = [_no_unique_row(lam) for lam in lams]
-    tables = [(0, np.ones(1))]
-    for row in rows:
-        tables.append(_convolve(tables[-1], row, big_n))
-    weights = _log_weights(tables[-1], big_n, big_n * math.fsum(probs[: i - 1]))
-    # log1p of the exactly rounded S_i: forming T = 1 - S_i first would cost
-    # N u relative through T^k
-    s_i = math.fsum(probs[:i])
-    log_tail = math.log1p(-s_i) if s_i < 1.0 else _LOG_ZERO
-    value, through_tail = _scaled_chance(tables[-1], weights, log_tail)
+    terms = np.asarray(probs[:upto], dtype=float).tolist()
+    values = np.zeros(upto)
+    table, steps = (0, np.ones(1)), []  # G_0; (r_j, G_(j-1)) for the reverse sweep
+    for i in range(1, upto + 1):
+        if not table[1][0]:
+            break
+        if every or i == upto:
+            weights = _log_weights(table, big_n, big_n * math.fsum(terms[: i - 1]))
+            # log1p of the exactly rounded S_i: forming T = 1 - S_i first
+            # would cost N u relative through T^k
+            s_i = math.fsum(terms[:i])
+            log_tail = math.log1p(-s_i) if s_i < 1.0 else _LOG_ZERO
+            values[i - 1], through_tail = _scaled_chance(table, weights, log_tail)
+        if i < upto:
+            row = _no_unique_row(big_n * terms[i - 1])
+            if gradient:
+                steps.append((row, table))
+            table = _convolve(table, row, big_n)
     if not gradient:
-        return value
+        return values if every else float(values[-1])
     grad = np.zeros(n)
-    grad[:i] = -through_tail
+    if not table[1][0]:
+        return grad
+    grad[:upto] = -through_tail
     k, base = weights
-    adjoint = (tables[-1][0], np.exp(base + k * log_tail))  # B_(i-1) = w
-    for j in range(i - 1, 0, -1):
-        lo, row = rows[j - 1]
-        if lams[j - 1] > 0.0:  # else pmf(k - 1) = 0 for k >= 2
-            part = _convolve(tables[j - 1], (lo, np.arange(lo, lo + row.size) * row), big_n)
+    adjoint = (table[0], np.exp(base + k * log_tail))  # B_(upto-1) = w
+    for j in range(upto - 1, 0, -1):
+        (lo, row), (start, prefix) = steps[j - 1]
+        lam = big_n * terms[j - 1]
+        if lam > 0.0:  # else pmf(k - 1) = 0 for k >= 2
+            part = _convolve((start, prefix), (lo, np.arange(lo, lo + row.size) * row), big_n)
             through_count = float(part[1] @ _window(adjoint, part[0], part[1].size))
-            grad[j - 1] += big_n / lams[j - 1] * through_count
+            grad[j - 1] += big_n / lam * through_count
         # B_(j-1)[a] = sum_k r_j[k] B_j[a+k], only where G_(j-1) is nonzero:
         # elsewhere it meets only entries below the smallest normal double
-        start, size = tables[j - 1][0], tables[j - 1][1].size
-        window = _window(adjoint, start + lo, size + row.size - 1)
+        window = _window(adjoint, start + lo, prefix.size + row.size - 1)
         adjoint = (start, np.correlate(window, row, "valid"))
     return grad
 
@@ -355,6 +363,20 @@ class PrefixChance:
 # ---------------------------------------------------------------------------
 
 
+def _chances(probs: np.ndarray, n: int, upto: int, every: bool = False, gradient: bool = False):
+    """``c_upto``, ``c_1..c_upto`` with ``every``, or with ``gradient`` the
+    derivatives of ``c_upto``: by the product form up to ``n = 1000``, by
+    the Poisson-scaled form above it."""
+    if int(upto) != upto or not 1 <= upto <= n:
+        raise ValueError(f"number index {upto} outside 1..{n}")
+    if n > _PRODUCT_N_MAX:
+        return _scaled(probs, n, upto, every, gradient)
+    if gradient:
+        return _kernel(probs, n, upto, jacobian=1)[1][0]
+    values = _kernel(probs, n, upto)
+    return values if every else float(values[-1])
+
+
 def win_prob(i: int, p: Strategy) -> float:
     """Chance of winning with number ``i`` against ``n - 1`` players on ``p``.
 
@@ -363,16 +385,13 @@ def win_prob(i: int, p: Strategy) -> float:
     spans of its prefix table and of one Poisson row, with relative error
     ``O((N S_i + i) u)``, ``S_i = p_1 + ... + p_i``.
     """
-    _check_i(i, p.n)
-    if p.n > _PRODUCT_N_MAX:
-        return _scaled(i, p.probs, p.n)
-    return float(_kernel(p.probs, p.n, i)[-1])
+    return _chances(p.probs, p.n, i)
 
 
 def win_prob_vector(p: Strategy) -> WinProbVector:
     """All per-number win chances ``c_1..c_n`` for strategy ``p``, each equal
-    to the bit to :func:`win_prob`; by the product form, so ``n <= 1000``."""
-    return WinProbVector(_kernel(p.probs, p.n, p.n))
+    to the bit to :func:`win_prob`, from one walk over the prefix tables."""
+    return WinProbVector(_chances(p.probs, p.n, p.n, every=True))
 
 
 def expected_payoff(pi: Strategy, p: Strategy) -> PayoffReport:
@@ -408,7 +427,4 @@ def win_prob_gradient(i: int, p: Strategy) -> np.ndarray:
     :func:`win_prob`, they come from the product form (``O(i n^2)``) or,
     above ``n = 1000``, from the Poisson-scaled form.
     """
-    _check_i(i, p.n)
-    if p.n > _PRODUCT_N_MAX:
-        return _scaled(i, p.probs, p.n, gradient=True)
-    return _kernel(p.probs, p.n, i, jacobian=1)[1][0]
+    return _chances(p.probs, p.n, i, gradient=True)

@@ -122,6 +122,10 @@ class TestBound:
         code, _, _ = run(capsys, "bound", "--n", "9", "--depth", "0")
         assert code == 1
 
+    def test_nan_tol(self, capsys, cache_file):
+        code, out, err = run(capsys, "bound", "--n", "5", "--depth", "2", "--tol", "nan")
+        assert code == 1 and out == "" and "tol" in err
+
 
 class TestSimulate:
     def test_deterministic_json(self, capsys, cache_file):
@@ -148,6 +152,10 @@ class TestPayoffAndBestsym:
         w_row = out.strip().splitlines()[-1].split(",")
         assert w_row[0] == "w"
         assert float(w_row[3]) == pytest.approx(0.125, abs=1e-14)
+
+    def test_payoff_above_the_product_form(self, capsys, cache_file):
+        code, out, _ = run(capsys, "payoff", "--n", "1500", "--pi", "uniform", "--p", "uniform")
+        assert code == 0 and len(out.strip().splitlines()) == 1502
 
     def test_bestsym_uniform(self, capsys, cache_file):
         code, out, _ = run(capsys, "bestsym", "--n", "4", "--format", "json")
@@ -262,11 +270,11 @@ class TestOutputAndConfig:
 
     def test_caps_exit_one(self, capsys, cache_file):
         # only the caps on work that really grows stay: the Newton solve's
-        # player cap and the product form's size limit exit 1 and name it
+        # player cap exits 1 and names it, while the closed form serves any n
         code, out, err = run(capsys, "ne", "--n", "21")
         assert code == 1 and out == "" and "cap n=20" in err
-        code, out, err = run(capsys, "winprob", "--n", "1001", "--strategy", "uniform")
-        assert code == 1 and out == "" and "n <= 1000" in err
+        code, out, _ = run(capsys, "winprob", "--n", "1500", "--strategy", "uniform")
+        assert code == 0 and len(out.strip().splitlines()) == 1501
         code, out, _ = run(capsys, "winprob", "--n", "30", "--strategy", "uniform")
         assert code == 0 and len(out.strip().splitlines()) == 31
         code, _, err = run(capsys, "winprob", "--n", "30", "--strategy", "uniform",

@@ -193,13 +193,6 @@ class TestOutcomePolynomial:
             opponents_outcome_poly(9)
         assert _outcome_terms.cache_info().currsize == 0
 
-    def test_cap_env(self, monkeypatch):
-        monkeypatch.setenv("LUPI_N_MAX_SYMBOLIC", "6")
-        with pytest.raises(ResourceLimitError):
-            opponents_outcome_poly(7)
-        monkeypatch.setenv("LUPI_N_MAX_SYMBOLIC", "9")
-        assert opponents_outcome_poly(9).coefficient_sum() == 9**8
-
 
 class TestNoWinnerPolynomial:
     def test_first_projection_n3(self):

@@ -2,6 +2,7 @@
 agreement, the interval bound, and the symmetric optimum."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -330,6 +331,19 @@ class TestBoundC0:
             bound_c0(5, 0)
         with pytest.raises(ValueError):
             bound_c0(5, 6)
+
+    def test_zero_tol_walk_ends(self):
+        # below the spacing of doubles the walk ends once no double lies
+        # between its ends; otherwise it would repeat its last midpoint
+        start = time.perf_counter()
+        interval = bound_c0(5, 2, tol=0.0)
+        assert time.perf_counter() - start < 1.0
+        assert interval.lower < solve_ne(5).c_ne < interval.upper
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_tol_validation(self, tol):
+        with pytest.raises(ValueError):
+            bound_c0(5, 2, tol=tol)
 
 
 class TestBestSymmetric:

@@ -150,6 +150,17 @@ class TestPayoffs:
         with pytest.raises(ValueError):
             expected_payoff(Strategy.uniform(3), Strategy.uniform(4))
 
+    def test_above_the_product_form(self):
+        # n = 1500 takes the Poisson-scaled vector, and no size limit refuses
+        # it: a point mass on 1 earns c_1 = (1 - 1/n)^(n-1), and n W under
+        # uniform play is the chance that someone wins, 1 but for the chance
+        # that none of the 1500 players picks a number no one else picks
+        n = 1500
+        s = Strategy.uniform(n)
+        point = Strategy(np.eye(1, n)[0])
+        assert expected_payoff(point, s).w == pytest.approx((1 - 1 / n) ** (n - 1), rel=1e-12)
+        assert n * symmetric_payoff(s) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_normalization_form_equivalence(self, n):
         # summing (c_i - c_n) pi_i + c_n over the free coordinates matches
@@ -194,6 +205,15 @@ class TestVector:
         # the whole vector costs O(n^3), and no setting refuses it
         s = Strategy.uniform(30)
         assert np.array_equal(win_prob_vector(s).values, _kernel(s.probs, 30, 30))
+
+    @pytest.mark.parametrize("n", [1000, 1001, 1500])
+    def test_matches_win_prob_across_the_switch(self, n):
+        # the product form at n = 1000 and the Poisson-scaled walk above it:
+        # each row of the whole vector is win_prob's value to the bit
+        for s in (Strategy.uniform(n), random_strategy(np.random.default_rng(5000 + n), n)):
+            v = win_prob_vector(s).values
+            for i in (1, 2, 17, n):
+                assert v[i - 1] == win_prob(i, s)
 
     def test_entries_are_probabilities(self):
         rng = np.random.default_rng(29)
@@ -260,7 +280,7 @@ class TestGradient:
             for i in sorted({1, 2, 5, min(n, 40)}):  # O(i n^2) rows
                 row = _kernel(s.probs, n, i, jacobian=1)[1][0]
                 bound = 2 * n * n * UNIT_ROUNDOFF + 2 * scaled_bound(i, s.probs, n)
-                grad = _scaled(i, s.probs, n, gradient=True)
+                grad = _scaled(s.probs, n, i, gradient=True)
                 assert np.all(grad[i:] == 0.0)
                 assert np.all(np.abs(grad - row) <= bound * (np.abs(row) + 2 * abs(row[i - 1])))
 
@@ -285,7 +305,7 @@ class TestGradient:
                 up, dn = s.probs.copy(), s.probs.copy()
                 up[j] += h
                 dn[j] -= h
-                fd = (_scaled(i, up, n) - _scaled(i, dn, n)) / (2 * h)
+                fd = (_scaled(up, n, i) - _scaled(dn, n, i)) / (2 * h)
                 assert abs(fd - g[j]) <= h * h * n * n * np.max(np.abs(g))
 
     @pytest.mark.parametrize("n", [2000, 10**4])
@@ -447,7 +467,7 @@ class TestProductForm:
             assert win_prob(i, s) == _kernel(s.probs, 40, 40)[i - 1]
         s = Strategy.uniform(10**4)
         for i in (1, 4, 10, 20):
-            assert win_prob(i, s) == _scaled(i, s.probs, 10**4)
+            assert win_prob(i, s) == _scaled(s.probs, 10**4, i)
 
     @pytest.mark.parametrize("n", [40, 200, 1000])
     def test_scaled_form_agrees_at_moderate_n(self, n):
@@ -458,7 +478,7 @@ class TestProductForm:
             product = _kernel(s.probs, n, 40)  # O(n^3) in full
             for i in (1, 2, 5, 10, 20, 39, 40):
                 tol = 2 * n * n * UNIT_ROUNDOFF + scaled_bound(i, s.probs, n)
-                assert abs(_scaled(i, s.probs, n) - product[i - 1]) <= tol * product[i - 1]
+                assert abs(_scaled(s.probs, n, i) - product[i - 1]) <= tol * product[i - 1]
 
     @pytest.mark.parametrize("n", [10**4, 10**6])
     def test_error_above_the_size_limit(self, n):
