@@ -9,9 +9,10 @@ observation per row so any tool can render it.
 
 Conventions: flags have long names only; configuration precedence is
 flags, then ``LUPI_*`` environment variables, then defaults. Output is CSV
-with a header row (JSON via ``--format json``; the ``simulate`` command is
-JSON-only), numbers carry 10 significant digits, and identical invocations
-produce byte-identical output. Exit codes: 0 success, 1 usage or
+with a header row (JSON via ``--format json``; ``simulate`` is JSON-only and
+``figure`` CSV-only), numbers carry 10 significant digits, and identical
+invocations produce byte-identical output. Every command writes once,
+through :func:`_emit`. Exit codes: 0 success, 1 usage or
 validation error, 2 numerical non-convergence.
 
 Each command imports the modules it computes with inside its function, so
@@ -57,34 +58,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-class RunConfig:
-    """Resolved options shared across commands (flags > env > defaults)."""
-
-    def __init__(self, cache_path: str, output_format: str, output_path: str | None) -> None:
-        self.cache_path = cache_path
-        self.output_format = output_format
-        self.output_path = output_path
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            cache_path=cache_path(getattr(args, "cache_path", None)),
-            output_format=getattr(args, "format", "csv"),
-            output_path=getattr(args, "output", None),
-        )
-
-
 def fmt(x: float) -> str:
     """Numbers are printed with 10 significant digits everywhere."""
     return f"{x:.10g}"
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _csv(header: list[str], rows: list[list[object]]) -> str:
@@ -97,6 +73,20 @@ def _csv(header: list[str], rows: list[list[object]]) -> str:
 
 def _json(obj: object) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(args: argparse.Namespace, obj: object = None, header=None, rows=None) -> None:
+    """Write a command's result to ``--output`` or stdout: ``obj`` as JSON
+    under ``--format json`` or when there are no rows, else the CSV table."""
+    if rows is None or (obj is not None and args.format == "json"):
+        text = _json(obj)
+    else:
+        text = _csv(header, rows)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +146,14 @@ def _cached_solution(entry: object, n: int) -> tuple[list[float], float] | None:
     return (probs, c_ne) if valid else None
 
 
-def solved_ne_strategies(n_list, cfg: RunConfig, tol: float = 1e-12):
+def solved_ne_strategies(n_list, cache_file: str, tol: float = 1e-12):
     """Yield ``(n, probs, c_ne)`` for each ``n`` of ``n_list``: the equilibrium
     probabilities as plain floats and its win value, via the cache when warm.
 
     The cache file is read once. Each miss is solved and stored at once, so
     the entries solved before a later failure are kept.
     """
-    data = _load_cache(cfg.cache_path)
+    data = _load_cache(cache_file)
     for n in n_list:
         key = _cache_key(n, tol)
         hit = _cached_solution(data["entries"].get(key), n)
@@ -187,23 +177,20 @@ def solved_ne_strategies(n_list, cfg: RunConfig, tol: float = 1e-12):
             "residual": solution.residual,
             "iterations": solution.iterations,
         }
-        _store_cache(cfg.cache_path, data)
+        _store_cache(cache_file, data)
         yield n, probs, solution.c_ne
 
 
-def resolve_strategy(source: str, n: int, cfg: RunConfig) -> Strategy:
-    """Turn a ``--strategy`` value (named or file path) into a Strategy."""
+def resolve_strategy(source: str, args: argparse.Namespace) -> Strategy:
+    """Turn a ``--strategy`` value (named or file path) into a Strategy for ``args.n``."""
     from .game import Strategy
 
-    if source == "uniform":
-        return Strategy.uniform(n)
-    if source == "zeng":
-        return Strategy.zeng(n)
-    if source == "flitney":
-        return Strategy.flitney(n)
+    n = args.n
     if source == "ne":
-        _, probs, _ = next(solved_ne_strategies([n], cfg))
+        _, probs, _ = next(solved_ne_strategies([n], args.cache_path))
         return Strategy(probs)
+    if source in NAMED_STRATEGIES:
+        return getattr(Strategy, source)(n)
     try:
         strategy = Strategy.from_file(source)
     except OSError as exc:
@@ -218,109 +205,73 @@ def resolve_strategy(source: str, n: int, cfg: RunConfig) -> Strategy:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ne(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_ne(args: argparse.Namespace) -> int:
     from .solvers import solve_ne
 
     solution = solve_ne(args.n, tol=args.tol, max_iter=args.max_iter)
-    if cfg.output_format == "json":
-        _emit(_json(solution.to_json_obj()), cfg)
-    else:
-        rows = [[i + 1, float(v), solution.c_ne] for i, v in enumerate(solution.strategy.probs)]
-        _emit(_csv(["i", "p_i", "c_ne"], rows), cfg)
+    rows = [[i + 1, float(v), solution.c_ne] for i, v in enumerate(solution.strategy.probs)]
+    _emit(args, solution.to_json_obj(), ["i", "p_i", "c_ne"], rows)
     return EXIT_OK if solution.converged else EXIT_NUMERIC
 
 
-def cmd_winprob(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_winprob(args: argparse.Namespace) -> int:
     from .winprob import win_prob_vector
 
-    strategy = resolve_strategy(args.strategy, args.n, cfg)
-    per = win_prob_vector(strategy)
-    if cfg.output_format == "json":
-        _emit(_json(per.to_json_obj()), cfg)
-    else:
-        _emit(_csv(["i", "c_i"], [[i + 1, float(v)] for i, v in enumerate(per.values)]), cfg)
+    per = win_prob_vector(resolve_strategy(args.strategy, args))
+    rows = [[i + 1, float(v)] for i, v in enumerate(per.values)]
+    _emit(args, per.to_json_obj(), ["i", "c_i"], rows)
     return EXIT_OK
 
 
-def cmd_sequential(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_sequential(args: argparse.Namespace) -> int:
     from .solvers import sequential_solve
 
     result = sequential_solve(args.n, args.c0, args.depth)
-    if cfg.output_format == "json":
-        _emit(_json(result.to_json_obj()), cfg)
-    else:
-        rows = [
-            [e.i, "" if e.p_i is None else fmt(e.p_i), e.status, float(e.residual)]
-            for e in result.entries
-        ]
-        _emit(_csv(["i", "p_i", "status", "residual"], rows), cfg)
+    rows = [
+        [e.i, "" if e.p_i is None else fmt(e.p_i), e.status, float(e.residual)]
+        for e in result.entries
+    ]
+    _emit(args, result.to_json_obj(), ["i", "p_i", "status", "residual"], rows)
     return EXIT_OK
 
 
-def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_bound(args: argparse.Namespace) -> int:
     from .solvers import bound_c0
 
     interval = bound_c0(args.n, args.depth, tol=args.tol)
-    if cfg.output_format == "json":
-        _emit(_json(interval.to_json_obj()), cfg)
-    else:
-        _emit(
-            _csv(
-                ["n", "depth", "lower", "upper"],
-                [[args.n, interval.depth, interval.lower, interval.upper]],
-            ),
-            cfg,
-        )
+    rows = [[args.n, interval.depth, interval.lower, interval.upper]]
+    _emit(args, interval.to_json_obj(), ["n", "depth", "lower", "upper"], rows)
     return EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     from .oracle import simulate
 
-    pi = resolve_strategy(args.pi, args.n, cfg)
-    p = resolve_strategy(args.p, args.n, cfg)
-    stats = simulate(pi, p, args.rounds, args.seed, shards=args.shards)
-    _emit(_json(stats.to_json_obj()), cfg)
+    pi, p = resolve_strategy(args.pi, args), resolve_strategy(args.p, args)
+    _emit(args, simulate(pi, p, args.rounds, args.seed, shards=args.shards).to_json_obj())
     return EXIT_OK
 
 
-def cmd_payoff(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_payoff(args: argparse.Namespace) -> int:
     from .winprob import expected_payoff
 
-    pi = resolve_strategy(args.pi, args.n, cfg)
-    p = resolve_strategy(args.p, args.n, cfg)
+    pi, p = resolve_strategy(args.pi, args), resolve_strategy(args.p, args)
     report = expected_payoff(pi, p)
-    if cfg.output_format == "json":
-        _emit(_json(report.to_json_obj()), cfg)
-    else:
-        rows = [
-            [i + 1, float(c), float(q), float(c * q)]
-            for i, (c, q) in enumerate(zip(report.per_number.values, pi.probs))
-        ]
-        rows.append(["w", "", "", report.w])
-        _emit(_csv(["i", "c_i", "pi_i", "c_i_times_pi_i"], rows), cfg)
+    rows = [
+        [i + 1, float(c), float(q), float(c * q)]
+        for i, (c, q) in enumerate(zip(report.per_number.values, pi.probs))
+    ]
+    rows.append(["w", "", "", report.w])
+    _emit(args, report.to_json_obj(), ["i", "c_i", "pi_i", "c_i_times_pi_i"], rows)
     return EXIT_OK
 
 
-def cmd_bestsym(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_bestsym(args: argparse.Namespace) -> int:
     from .solvers import best_symmetric
 
     optimum = best_symmetric(args.n, restarts=args.restarts)
-    if cfg.output_format == "json":
-        _emit(
-            _json(
-                {
-                    "strategy": optimum.strategy.to_json_obj(),
-                    "w": optimum.w,
-                    "starts": optimum.starts,
-                    "iterations": optimum.iterations,
-                }
-            ),
-            cfg,
-        )
-    else:
-        rows = [[i + 1, float(v), optimum.w] for i, v in enumerate(optimum.strategy.probs)]
-        _emit(_csv(["i", "p_i", "w"], rows), cfg)
+    rows = [[i + 1, float(v), optimum.w] for i, v in enumerate(optimum.strategy.probs)]
+    _emit(args, optimum.to_json_obj(), ["i", "p_i", "w"], rows)
     return EXIT_OK
 
 
@@ -334,38 +285,41 @@ def _parse_n_list(raw: str) -> list[int]:
     return values
 
 
-def cmd_figure(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_figure(args: argparse.Namespace) -> int:
+    """The CSV series of one figure; there is no JSON form, so ``--format`` is not read."""
     which = args.which
     if which == "fig3":
         if args.n is None or args.c0 is None:
             raise CliError("fig3 needs --n and --c0")
-        return _figure_traces(args, cfg)
+        _emit(args, header=["i", "p", "c_i"], rows=_figure_traces(args))
+        return EXIT_OK
     if args.n_list is None:
         raise CliError(f"{which} needs --n-list")
     n_list = _parse_n_list(args.n_list)
 
     rows: list[list[object]] = []
     if which == "fig1":
-        for n, probs, _ in solved_ne_strategies(n_list, cfg):
+        header = ["n", "i", "p_ne"]
+        for n, probs, _ in solved_ne_strategies(n_list, args.cache_path):
             rows.extend([n, i + 1, v] for i, v in enumerate(probs))
-        _emit(_csv(["n", "i", "p_ne"], rows), cfg)
     elif which == "fig1b":
-        for n, probs, _ in solved_ne_strategies(n_list, cfg):
+        header = ["n", "i_over_n", "n_times_p_ne"]
+        for n, probs, _ in solved_ne_strategies(n_list, args.cache_path):
             rows.extend([n, (i + 1) / n, n * v] for i, v in enumerate(probs))
-        _emit(_csv(["n", "i_over_n", "n_times_p_ne"], rows), cfg)
     elif which == "fig2a":
         from .game import Strategy
         from .winprob import win_prob_vector
 
+        header = ["n", "i", "c_i"]
         for n in n_list:
             per = win_prob_vector(Strategy.uniform(n))
             rows.extend([n, i + 1, float(v)] for i, v in enumerate(per.values))
-        _emit(_csv(["n", "i", "c_i"], rows), cfg)
     elif which == "fig2b":
         from .game import Strategy
         from .winprob import symmetric_payoff
 
-        for n, _, c_ne in solved_ne_strategies(n_list, cfg):
+        header = ["series", "n", "n_times_w"]
+        for n, _, c_ne in solved_ne_strategies(n_list, args.cache_path):
             series = {
                 "uniform": symmetric_payoff(Strategy.uniform(n)),
                 "ne": c_ne,
@@ -373,13 +327,13 @@ def cmd_figure(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "flitney": symmetric_payoff(Strategy.flitney(n)),
             }
             rows.extend([name, n, n * w] for name, w in series.items())
-        _emit(_csv(["series", "n", "n_times_w"], rows), cfg)
     else:
         raise CliError(f"unknown figure {which!r}")
+    _emit(args, header=header, rows=rows)
     return EXIT_OK
 
 
-def _figure_traces(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _figure_traces(args: argparse.Namespace) -> list[list[object]]:
     """Win-chance traces c_i over candidate p_i, prefix fixed by the chain."""
     import numpy as np
 
@@ -398,8 +352,7 @@ def _figure_traces(args: argparse.Namespace, cfg: RunConfig) -> int:
         if entry.p_i is None:
             break
         chance.fix(entry.p_i, rest=result.tails[entry.i - 1])  # the interval the chain solved on
-    _emit(_csv(["i", "p", "c_i"], rows), cfg)
-    return EXIT_OK
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = RunConfig.from_args(args)
-        return args.func(args, cfg)
+        args.cache_path = cache_path(args.cache_path)
+        return args.func(args)
     except (CliError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

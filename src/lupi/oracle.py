@@ -41,7 +41,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,17 +86,7 @@ class SimulationStats:
     w_std_err: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "win_counts": list(self.win_counts),
-            "est_ci": list(self.est_ci),
-            "std_err": list(self.std_err),
-            "seed": self.seed,
-            "shards": self.shards,
-            "generator": self.generator,
-            "w_estimate": self.w_estimate,
-            "w_std_err": self.w_std_err,
-        }
+        return asdict(self)
 
 
 def exact_win_prob(i: int, p: Strategy, *, max_players: int | None = None) -> float:

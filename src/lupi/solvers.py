@@ -108,13 +108,16 @@ class SequentialResult:
 
     c0: float
     entries: list[SequentialEntry]
-    prefix_sum: float
     tails: list[float] = field(default_factory=list)
     too_small: bool = False
 
     @property
     def found(self) -> list[float]:
         return [e.p_i for e in self.entries if e.p_i is not None]
+
+    @property
+    def prefix_sum(self) -> float:
+        return math.fsum(self.found)
 
     @property
     def complete(self) -> bool:
@@ -158,6 +161,14 @@ class SymmetricOptimum:
     w: float
     starts: int
     iterations: int
+
+    def to_json_obj(self) -> dict:
+        return {
+            "strategy": self.strategy.to_json_obj(),
+            "w": self.w,
+            "starts": self.starts,
+            "iterations": self.iterations,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +218,13 @@ def solve_ne(
 
     z = np.zeros(n - 1)
     p = strategy_of(z)
-    c = _kernel(p, n, n)
+    c, jac_p = _kernel(p, n, n, jacobian=n)  # each point's values and Jacobian in one call
     f = c[:-1] - c[-1]
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if np.max(np.abs(f)) <= tol:
             iterations -= 1
             break
-        _, jac_p = _kernel(p, n, n, jacobian=n)
         # chain rule through the softmax: dp_r/dz_k = p_r (delta_rk - p_k)
         dp_dz = np.diag(p)[:, : n - 1] - np.outer(p, p[: n - 1])
         jac_f = (jac_p[:-1] - jac_p[-1]) @ dp_dz
@@ -228,10 +238,10 @@ def solve_ne(
         while scale > 2.0**-30:
             z_new = z + scale * step
             p_new = strategy_of(z_new)
-            c_new = _kernel(p_new, n, n)
+            c_new, jac_new = _kernel(p_new, n, n, jacobian=n)
             f_new = c_new[:-1] - c_new[-1]
             if float(np.linalg.norm(f_new)) < norm0:
-                z, p, c, f = z_new, p_new, c_new, f_new
+                z, p, c, f, jac_p = z_new, p_new, c_new, f_new, jac_new
                 moved = True
                 break
             scale *= 0.5
@@ -307,8 +317,7 @@ def _run_chain(n: int, c0: float, depth: int) -> SequentialResult:
                 break
         entries.append(SequentialEntry(i, chance.rest - tail, REAL_ROOT, residual))
         tails.append(tail)
-    prefix_sum = math.fsum(e.p_i for e in entries if e.p_i is not None)
-    return SequentialResult(c0, entries, prefix_sum, tails, too_small)
+    return SequentialResult(c0, entries, tails, too_small)
 
 
 def _c0_walk(is_large, width: float):
@@ -423,8 +432,11 @@ def bound_c0(
     too-small midpoint, the upper one the last tail-infeasible midpoint.
     Every depth bisects over the same dyadic midpoints, so where each test
     flips once in ``c0`` the interval contains the equilibrium value and
-    nests inside the interval of any shallower depth; at ``depth = n`` it
-    is at most ``tol`` wide. Each candidate ``c0`` runs the chain once, and
+    nests inside the interval of any shallower depth. At ``depth = n`` it
+    is at most ``tol`` wide down to the gap where the too-small and
+    tail-infeasible walks part, which the float classification sets, not
+    ``tol``: ``bound_c0(11, 11, tol=1e-12)`` is 3.6e-12 wide, and still
+    2.7e-12 at ``tol=0``. Each candidate ``c0`` runs the chain once, and
     both tests read that run.
     """
     _require_n(n)
@@ -477,9 +489,6 @@ def _spg_ascent(p: np.ndarray, max_steps: int) -> tuple[np.ndarray, float, int]:
     """One start of :func:`best_symmetric`: the point reached, its payoff and the steps."""
     n = p.size
 
-    def payoff(p: np.ndarray) -> float:
-        return float(_kernel(p, n, n) @ p)
-
     def payoff_and_gradient(p: np.ndarray) -> tuple[float, np.ndarray]:
         c, jac = _kernel(p, n, n, jacobian=n)
         g = c + jac.T @ p
@@ -505,11 +514,9 @@ def _spg_ascent(p: np.ndarray, max_steps: int) -> tuple[np.ndarray, float, int]:
             if t * size <= _SPG_STILL:
                 break
             trial = p + t * d
-            w_t = payoff(trial)
+            w_t, g_t = payoff_and_gradient(trial)
         if t * size <= _SPG_STILL:
             break
-        if t < 1.0:
-            w_t, g_t = payoff_and_gradient(trial)
         s, y = trial - p, g_t - g
         curvature = -float(s @ y)
         lam = _SPG_LAM_MAX

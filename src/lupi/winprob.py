@@ -12,13 +12,14 @@ exactly once:
 
 That sum expands ``c_i = N! [x^N] prod_{j<i} (e^(p_j x) - p_j x) e^(T_i x)``,
 ``T_i = 1 - S_i``, ``S_i = p_1 + ... + p_i``; both forms below sum its
-nonnegative terms. Up to ``n = 1000`` the product form's table
+nonnegative terms. Up to ``n = 400`` the product form's table
 ``F_j[m] = sum_{k != 1} C(m, k) p_j^k F_{j-1}[m-k]`` is the chance that
 ``m`` given opponents all pick from ``1..j`` with none of those numbers
 picked exactly once, and ``c_i = sum_m C(N, m) F_{i-1}[m] T_i^(N-m)``: the
 whole vector costs ``O(n^3)``, and a reverse sweep over the same tables
-gives the Jacobian. Above that its binomial table would overflow, and the
-product is scaled instead (``x -> x / N``, factor ``j`` by ``e^(-N p_j)``):
+gives the Jacobian. Above that the product is scaled instead, which is
+faster there and has no binomial table to overflow (``x -> x / N``, factor
+``j`` by ``e^(-N p_j)``):
 factor ``j`` becomes the Poisson(``N p_j``) row ``r_j`` with its ``k = 1``
 entry set to 0 (after C. Loader, "Fast and Accurate Computation of Binomial
 Probabilities", 2000), ``g = r_1 * ... * r_(i-1)`` lies in ``[0, 1]``, and
@@ -38,9 +39,14 @@ import numpy as np
 from .config import ResourceLimitError
 from .game import Strategy
 
-# Largest n the product form serves: its table entries C(m, k) p^k and
-# k C(m, k) p^(k-1), m < n, p <= 1, stay below n 2^n, which is finite in
-# double precision up to n = 1014.
+# The public entries and PrefixChance take the product form up to n = 400
+# and the Poisson-scaled walk above it, where the walk is the faster one for
+# the whole vector, a gradient and a sequential chain (BENCH_output_path.json).
+_SCALED_ABOVE = 400
+# Largest n the product form can serve, through _kernel for solve_ne(n_max=)
+# and best_symmetric: its table entries C(m, k) p^k and k C(m, k) p^(k-1),
+# m < n, p <= 1, stay below n 2^n, which is finite in double precision up to
+# n = 1014.
 _PRODUCT_N_MAX = 1000
 
 # Poisson-scaled form: probabilities below the smallest normal double are
@@ -169,7 +175,7 @@ def _kernel(probs: np.ndarray, n: int, upto: int, jacobian: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# Poisson-scaled product form (n > 1000)
+# Poisson-scaled product form (n > 400)
 # ---------------------------------------------------------------------------
 
 
@@ -319,7 +325,7 @@ class PrefixChance:
     stable on ``[0, R]`` where every partial sum is nonnegative; a candidate
     ``p_i`` is evaluated at ``T = R - p_i``. :meth:`fix` appends ``p_i`` and
     advances the table one step.
-    Above ``n = 1000`` the Poisson-scaled form is evaluated instead, at
+    Above ``n = 400`` the Poisson-scaled form is evaluated instead, at
     ``log T``.
     """
 
@@ -327,7 +333,7 @@ class PrefixChance:
         self.n = n
         self.prefix: list[float] = []
         self.rest = 1.0
-        self._scaled = n > _PRODUCT_N_MAX
+        self._scaled = n > _SCALED_ABOVE
         if self._scaled:
             self._table = (0, np.ones(1))  # g over the empty prefix
         else:
@@ -365,11 +371,11 @@ class PrefixChance:
 
 def _chances(probs: np.ndarray, n: int, upto: int, every: bool = False, gradient: bool = False):
     """``c_upto``, ``c_1..c_upto`` with ``every``, or with ``gradient`` the
-    derivatives of ``c_upto``: by the product form up to ``n = 1000``, by
+    derivatives of ``c_upto``: by the product form up to ``n = 400``, by
     the Poisson-scaled form above it."""
     if int(upto) != upto or not 1 <= upto <= n:
         raise ValueError(f"number index {upto} outside 1..{n}")
-    if n > _PRODUCT_N_MAX:
+    if n > _SCALED_ABOVE:
         return _scaled(probs, n, upto, every, gradient)
     if gradient:
         return _kernel(probs, n, upto, jacobian=1)[1][0]
@@ -380,7 +386,7 @@ def _chances(probs: np.ndarray, n: int, upto: int, every: bool = False, gradient
 def win_prob(i: int, p: Strategy) -> float:
     """Chance of winning with number ``i`` against ``n - 1`` players on ``p``.
 
-    Costs ``O(i n^2)`` by the product form up to ``n = 1000``; above it,
+    Costs ``O(i n^2)`` by the product form up to ``n = 400``; above it,
     ``O(i L K)`` by the Poisson-scaled form, ``L`` and ``K`` the nonzero
     spans of its prefix table and of one Poisson row, with relative error
     ``O((N S_i + i) u)``, ``S_i = p_1 + ... + p_i``.
@@ -425,6 +431,6 @@ def win_prob_gradient(i: int, p: Strategy) -> np.ndarray:
     because the expression never references those coordinates. Simplex
     tangential derivatives are a caller-side chain rule. Like
     :func:`win_prob`, they come from the product form (``O(i n^2)``) or,
-    above ``n = 1000``, from the Poisson-scaled form.
+    above ``n = 400``, from the Poisson-scaled form.
     """
     return _chances(p.probs, p.n, i, gradient=True)

@@ -300,11 +300,15 @@ class TestBoundC0:
         assert shallow.lower <= deeper.lower and deeper.upper <= shallow.upper
 
     def test_full_depth_pins_the_value(self):
+        # the default tol, and one below which the width is no longer tol's
+        # alone (3.6e-12 at n = 11): both routes' c_NE stay inside
         for n in range(3, 13):
-            interval = bound_c0(n, n)
-            cne = solve_ne(n).c_ne
-            assert interval.lower <= cne <= interval.upper, n
-            assert interval.upper - interval.lower <= 1e-4, n  # the default tol
+            routes = (solve_ne(n).c_ne, find_cne_sequential(n, tol=1e-13).c_ne)
+            for tol in (1e-4, 1e-12):
+                interval = bound_c0(n, n, tol=tol)
+                for cne in routes:
+                    assert interval.lower <= cne <= interval.upper, (n, tol)
+                assert interval.upper - interval.lower <= 1e-4, (n, tol)
 
     def test_crossed_walks_raise(self, monkeypatch):
         # a chain that reads too small and tail-infeasible at every c0 puts
@@ -312,7 +316,7 @@ class TestBoundC0:
         def crossed(n, c0, depth):
             entries = [SequentialEntry(1, 0.1, "real-root", 0.0),
                        SequentialEntry(2, None, "no-real-root", 0.1)]
-            return SequentialResult(c0, entries, 0.1, [0.9], too_small=True)
+            return SequentialResult(c0, entries, [0.9], too_small=True)
 
         monkeypatch.setattr(lupi.solvers, "_run_chain", crossed)
         with pytest.raises(ClassificationError) as info:

@@ -26,6 +26,7 @@ from lupi import (
 )
 from lupi.winprob import (
     _PRODUCT_N_MAX,
+    _SCALED_ABOVE,
     PrefixChance,
     _kernel,
     _no_unique_row,
@@ -206,10 +207,11 @@ class TestVector:
         s = Strategy.uniform(30)
         assert np.array_equal(win_prob_vector(s).values, _kernel(s.probs, 30, 30))
 
-    @pytest.mark.parametrize("n", [1000, 1001, 1500])
+    @pytest.mark.parametrize("n", [_SCALED_ABOVE, _SCALED_ABOVE + 1, 1000, 1001, 1500])
     def test_matches_win_prob_across_the_switch(self, n):
-        # the product form at n = 1000 and the Poisson-scaled walk above it:
-        # each row of the whole vector is win_prob's value to the bit
+        # the product form at the switch and the Poisson-scaled walk above
+        # it, up to and past the product form's own limit of n = 1000: each
+        # row of the whole vector is win_prob's value to the bit
         for s in (Strategy.uniform(n), random_strategy(np.random.default_rng(5000 + n), n)):
             v = win_prob_vector(s).values
             for i in (1, 2, 17, n):
