@@ -31,7 +31,7 @@ import tempfile
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import SUM_TOLERANCE, ClassificationError, ResourceLimitError, cache_path
+from .config import SUM_TOLERANCE, ClassificationError, ResourceLimitError, cache_path, require_int
 
 if TYPE_CHECKING:
     from .game import Strategy
@@ -340,10 +340,8 @@ def _figure_traces(args: argparse.Namespace) -> list[list[object]]:
     from .solvers import sequential_solve
     from .winprob import PrefixChance
 
-    n, c0, depth, points = args.n, args.c0, args.depth, args.points
-    if not 0.0 < c0 < 1.0:
-        raise CliError(f"--c0 must lie in (0, 1), got {c0}")
-    result = sequential_solve(n, c0, depth)
+    n, points = args.n, require_int("--points", args.points, 1)
+    result = sequential_solve(n, args.c0, args.depth)
     rows: list[list[object]] = []
     chance = PrefixChance(n)
     for entry in result.entries:

@@ -1,4 +1,4 @@
-"""Size caps, the cache location, tolerances and errors.
+"""Size caps, the cache location, tolerances, errors and the integer argument check.
 
 Exact polynomial expansion and enumeration grow exponentially, so both
 check a player cap first; the Newton equilibrium solve keeps a practical
@@ -39,6 +39,23 @@ class ClassificationError(RuntimeError):
     def __init__(self, message: str, trace: list[tuple[float, str]]):
         super().__init__(message)
         self.trace = trace
+
+
+def require_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an ``int`` in ``lo..hi`` (no upper end when ``hi`` is None).
+
+    Raises ``ValueError`` naming ``name`` and the range for anything else: a
+    value out of range, a non-integral number, NaN, infinity or a non-number.
+    """
+    try:
+        as_int = int(value)
+        integral = bool(as_int == value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or as_int < lo or (hi is not None and as_int > hi):
+        bounds = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+        raise ValueError(f"expected an integer {bounds}, got {name}={value!r}")
+    return as_int
 
 
 def cache_path(override: str | None = None) -> str:

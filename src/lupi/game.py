@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RENORM_THRESHOLD, SUM_TOLERANCE
+from .config import RENORM_THRESHOLD, SUM_TOLERANCE, require_int
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class GameSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"the game is defined for n >= 3 players, got n={self.n}")
+        object.__setattr__(self, "n", require_int("n", self.n, 3))
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,10 @@ class ChoiceProfile:
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "choices", tuple(int(c) for c in self.choices))
-        if not self.choices:
+        choices = tuple(require_int("choice", c, 1, self.n) for c in self.choices)
+        if not choices:
             raise ValueError("a profile needs at least one player")
-        for c in self.choices:
-            if not 1 <= c <= self.n:
-                raise ValueError(f"choice {c} outside the valid range 1..{self.n}")
+        object.__setattr__(self, "choices", choices)
 
 
 def lowest_unique_winner(profile: ChoiceProfile) -> tuple[int, int] | None:
@@ -78,11 +75,15 @@ class Strategy:
     __slots__ = ("_probs",)
 
     def __init__(self, probs) -> None:
-        arr = np.asarray(probs, dtype=float)
+        try:
+            arr = np.asarray(probs, dtype=float)
+        except TypeError as exc:
+            raise ValueError("strategy entries must be numbers") from exc
         if arr.ndim != 1 or arr.size < 3:
             raise ValueError("a strategy needs at least 3 entries (n >= 3)")
-        if np.any(arr < -SUM_TOLERANCE) or np.any(arr > 1.0 + RENORM_THRESHOLD):
-            raise ValueError("strategy entries must lie in [0, 1]")
+        # written so that NaN fails it
+        if not np.all((arr >= -SUM_TOLERANCE) & (arr <= 1.0 + RENORM_THRESHOLD)):
+            raise ValueError("strategy entries must be numbers in [0, 1]")
         deviation = abs(float(arr.sum()) - 1.0)
         if deviation > RENORM_THRESHOLD:
             raise ValueError(
@@ -126,13 +127,13 @@ class Strategy:
     @classmethod
     def uniform(cls, n: int) -> "Strategy":
         """Every number equally likely: ``p_i = 1/n``."""
-        _require_n(n)
+        n = require_int("n", n, 3)
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
     def zeng(cls, n: int) -> "Strategy":
         """Half the mass on each of the two lowest numbers."""
-        _require_n(n)
+        n = require_int("n", n, 3)
         p = np.zeros(n)
         p[0] = p[1] = 0.5
         return cls(p)
@@ -141,7 +142,7 @@ class Strategy:
     def flitney(cls, n: int) -> "Strategy":
         """Dyadic weights ``p_i = 2^-i``, with the last entry doubled so the
         geometric series closes to exactly 1."""
-        _require_n(n)
+        n = require_int("n", n, 3)
         p = np.array([2.0 ** -(i + 1) for i in range(n)])
         p[n - 1] = 2.0 ** (1 - n)
         return cls(p)
@@ -154,12 +155,13 @@ class Strategy:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Strategy":
         try:
-            n = int(obj["n"])
-            probs = obj["probs"]
+            n, probs = obj["n"], obj["probs"]
+            count = len(probs)
         except (KeyError, TypeError) as exc:
-            raise ValueError("strategy JSON needs fields 'n' and 'probs'") from exc
-        if len(probs) != n:
-            raise ValueError(f"strategy JSON claims n={n} but has {len(probs)} entries")
+            raise ValueError("strategy JSON needs fields 'n' and 'probs', a list") from exc
+        n = require_int("n", n, 3)
+        if count != n:
+            raise ValueError(f"strategy JSON claims n={n} but has {count} entries")
         return cls(probs)
 
     @classmethod
@@ -192,8 +194,3 @@ class Strategy:
             raise ValueError(f"unknown strategy file format {fmt!r}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)
-
-
-def _require_n(n: int) -> None:
-    if int(n) != n or n < 3:
-        raise ValueError(f"the game is defined for n >= 3 players, got n={n}")

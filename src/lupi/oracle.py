@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import ORACLE_PLAYER_CAP_DEFAULT, ResourceLimitError
+from .config import ORACLE_PLAYER_CAP_DEFAULT, ResourceLimitError, require_int
 from .game import Strategy
 
 GENERATOR_NAME = "philox4x64-10"
@@ -104,9 +104,7 @@ def exact_win_prob(i: int, p: Strategy, *, max_players: int | None = None) -> fl
             f"enumeration for n={n} has C({2 * n - 2},{n - 1}) occupancy vectors, "
             f"above the configured cap n={cap}"
         )
-    if int(i) != i or not 1 <= i <= n:
-        raise ValueError(f"number index {i} outside 1..{n}")
-    i = int(i)
+    i = require_int("i", i, 1, n)
     counts, ways = _occupancy_table(n)
     keep = counts[:, i - 1] == 0
     keep &= ~(counts[:, : i - 1] == 1).any(axis=1)
@@ -150,18 +148,13 @@ def _occupancy_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return counts, ways
 
 
-def _round_winners(picks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Winner status for a block of rounds.
-
-    ``picks`` is (rounds, players) of 0-based numbers. Returns
-    ``(has_winner, winning_number)``; the winning number is 0-based and
-    meaningful only where ``has_winner`` is set.
-    """
-    block = picks.shape[0]
-    cells = picks + n * np.arange(block)[:, None]  # one bin per (round, number)
-    counts = np.bincount(cells.ravel(), minlength=block * n).reshape(block, n)
-    unique = counts == 1
-    return unique.any(axis=1), unique.argmax(axis=1)
+def _count_winners(picks: np.ndarray) -> np.ndarray:
+    """Per round, whether the last row's player wins; ``picks`` is (players,
+    rounds) of 0-based numbers below the player count."""
+    n, block = picks.shape
+    cells = picks * block + np.arange(block)  # one bin per (number, round)
+    unique = np.bincount(cells.ravel(), minlength=n * block).reshape(n, block) == 1
+    return unique.any(axis=0) & (unique.argmax(axis=0) == picks[-1])
 
 
 def _threshold_picks(cum: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -231,22 +224,16 @@ def _span_counts(
     chosen_counts = np.zeros(n, dtype=np.int64)
     win_counts = np.zeros(n, dtype=np.int64)
     block_rounds = min(_BLOCK_ROUNDS, max(1, _BLOCK_DRAWS // n))
+    if n <= 64:  # a round's picks fit one uint64 mask
+        pick, winners = _threshold_picks, _mask_winners
+    else:
+        pick, winners = np.searchsorted, _count_winners
     done = 0
     while done < span_rounds:
         block = min(block_rounds, span_rounds - done)
-        u = rng.random((block, n))
-        if n <= 64:  # a round's picks fit one uint64 mask
-            v = np.subtract(1.0, u.T, order="C")  # one row per player
-            picks = np.vstack((_threshold_picks(cum_p, v[:-1]), _threshold_picks(cum_pi, v[-1:])))
-            observed, observed_won = picks[-1], _mask_winners(picks)
-        else:
-            picks = np.empty((block, n), dtype=np.int64)
-            picks[:, : n - 1] = np.searchsorted(cum_p, 1.0 - u[:, : n - 1], side="left")
-            picks[:, n - 1] = np.searchsorted(cum_pi, 1.0 - u[:, n - 1], side="left")
-            has_winner, winning_number = _round_winners(picks, n)
-            observed = picks[:, n - 1]
-            observed_won = has_winner & (winning_number == observed)
-
+        v = np.subtract(1.0, rng.random((block, n)).T, order="C")  # one row per player
+        picks = np.vstack((pick(cum_p, v[:-1]), pick(cum_pi, v[-1:])))
+        observed, observed_won = picks[-1], winners(picks)
         chosen_counts += np.bincount(observed, minlength=n)
         win_counts += np.bincount(observed[observed_won], minlength=n)
         done += block
@@ -313,13 +300,9 @@ def simulate(
     """
     if pi.n != p.n:
         raise ValueError(f"strategies disagree on n: {pi.n} vs {p.n}")
-    if int(rounds) != rounds or rounds < 1:
-        raise ValueError(f"rounds must be a positive integer, got {rounds}")
-    if int(shards) != shards or shards < 1:
-        raise ValueError(f"shards must be a positive integer, got {shards}")
-    if int(seed) != seed or not 0 <= seed < 2**64:
-        raise ValueError("seed must be an integer in [0, 2^64)")
-    rounds, shards, seed = int(rounds), int(shards), int(seed)
+    rounds = require_int("rounds", rounds, 1)
+    shards = require_int("shards", shards, 1)
+    seed = require_int("seed", seed, 0, 2**64 - 1)
     n = p.n
 
     cum_p = np.cumsum(p.probs)

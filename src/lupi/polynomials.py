@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping
 
-from .config import N_MAX_SYMBOLIC_DEFAULT, ResourceLimitError
+from .config import N_MAX_SYMBOLIC_DEFAULT, ResourceLimitError, require_int
 
 Exponents = tuple[int, ...]
 
@@ -84,7 +84,7 @@ class SparsePolynomial:
     @classmethod
     def variable(cls, nvars: int, i: int) -> "SparsePolynomial":
         """The monomial ``p_i`` (``i`` is 1-based)."""
-        _check_index(nvars, i)
+        i = require_int("i", i, 1, nvars)
         exps = [0] * nvars
         exps[i - 1] = 1
         return cls(nvars, {tuple(exps): Fraction(1)})
@@ -237,7 +237,7 @@ class SparsePolynomial:
 
 def differentiate(q: SparsePolynomial, i: int) -> SparsePolynomial:
     """Exact partial derivative with respect to ``p_i`` (1-based)."""
-    _check_index(q.nvars, i)
+    i = require_int("i", i, 1, q.nvars)
     j = i - 1
     # lowering the exponent of p_i maps distinct terms to distinct terms
     out = {
@@ -250,7 +250,7 @@ def differentiate(q: SparsePolynomial, i: int) -> SparsePolynomial:
 
 def eliminate(q: SparsePolynomial, i: int) -> SparsePolynomial:
     """Substitute ``p_i = 0``: drop every term containing ``p_i``."""
-    _check_index(q.nvars, i)
+    i = require_int("i", i, 1, q.nvars)
     j = i - 1
     return SparsePolynomial._of_clean_terms(
         q.nvars, {e: c for e, c in q.terms.items() if e[j] == 0}
@@ -263,7 +263,7 @@ def project_linear(q: SparsePolynomial, i: int) -> SparsePolynomial:
     Acts on a monomial ``a * p_i^m`` as ``a * p_i`` when ``m == 1`` and as 0
     otherwise; equivalently ``p_i * eliminate(differentiate(q, i), i)``.
     """
-    _check_index(q.nvars, i)
+    i = require_int("i", i, 1, q.nvars)
     j = i - 1
     return SparsePolynomial._of_clean_terms(
         q.nvars, {e: c for e, c in q.terms.items() if e[j] == 1}
@@ -293,8 +293,8 @@ def opponents_outcome_poly(n: int, *, limit: int | None = None) -> SparsePolynom
     weighted by its multinomial count; the coefficients sum to ``n^(n-1)``.
     The terms are built once per ``n``; every call returns its own copy.
     """
-    _check_symbolic_n(n, limit)
-    return SparsePolynomial._of_clean_terms(int(n), dict(_outcome_terms(int(n))))
+    n = _check_symbolic_n(n, limit)
+    return SparsePolynomial._of_clean_terms(n, dict(_outcome_terms(n)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -317,8 +317,8 @@ def no_winner_poly(n: int, k: int, *, limit: int | None = None) -> SparsePolynom
     index; after step ``i`` no surviving term is linear in ``p_1..p_i``.
     ``k = 0`` returns the raw outcome polynomial.
     """
-    _check_k(n, k)
     q = opponents_outcome_poly(n, limit=limit)
+    k = require_int("k", k, 0, q.nvars)
     for i in range(1, k + 1):
         q = q - project_linear(q, i)
     return q
@@ -332,9 +332,9 @@ def no_winner_poly_by_subsets(n: int, k: int, *, limit: int | None = None) -> Sp
     chain to the outcome polynomial independently. Exact agreement with the
     recursion is a correctness check on both routes.
     """
-    _check_k(n, k)
     z0 = opponents_outcome_poly(n, limit=limit)
-    total = SparsePolynomial(n)
+    k = require_int("k", k, 0, z0.nvars)
+    total = SparsePolynomial(z0.nvars)
     for mask in range(1 << k):
         q = z0
         bits = 0
@@ -354,7 +354,7 @@ def win_prob_poly(n: int, i: int, *, limit: int | None = None) -> SparsePolynomi
     ``p_i`` from the no-winner polynomial of depth ``i - 1``. The result
     contains no ``p_i`` at all.
     """
-    _check_index(n, i)
+    i = require_int("i", i, 1, n)
     return eliminate(no_winner_poly(n, i - 1, limit=limit), i)
 
 
@@ -363,19 +363,9 @@ def expansion_term_count(n: int) -> int:
     return comb(2 * n - 2, n - 1)
 
 
-def _check_index(nvars: int, i: int) -> None:
-    if int(i) != i or not 1 <= i <= nvars:
-        raise ValueError(f"variable index {i} outside 1..{nvars}")
-
-
-def _check_k(n: int, k: int) -> None:
-    if int(k) != k or not 0 <= k <= n:
-        raise ValueError(f"projection depth {k} outside 0..{n}")
-
-
-def _check_symbolic_n(n: int, limit: int | None) -> None:
-    if int(n) != n or n < 3:
-        raise ValueError(f"the game is defined for n >= 3 players, got n={n}")
+def _check_symbolic_n(n: int, limit: int | None) -> int:
+    """``n`` as an ``int``, once it is a game size within the expansion cap."""
+    n = require_int("n", n, 3)
     cap = N_MAX_SYMBOLIC_DEFAULT if limit is None else limit
     if n > cap:
         raise ResourceLimitError(
@@ -383,3 +373,4 @@ def _check_symbolic_n(n: int, limit: int | None) -> None:
             f"above the cap n={cap}; pass a larger limit= or use the "
             f"closed-form evaluator"
         )
+    return n

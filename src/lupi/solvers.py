@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import NE_PLAYER_CAP_DEFAULT, ClassificationError, ResourceLimitError
-from .game import Strategy, _require_n
+from .config import NE_PLAYER_CAP_DEFAULT, ClassificationError, ResourceLimitError, require_int
+from .game import Strategy
 from .winprob import PrefixChance, _kernel
 
 _EPS = float(np.finfo(float).eps)
@@ -176,6 +176,11 @@ class SymmetricOptimum:
 # ---------------------------------------------------------------------------
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0.0:  # NaN fails it too
+        raise ValueError(f"tol must be a nonnegative number, got {tol}")
+
+
 def solve_ne(
     n: int,
     tol: float = 1e-12,
@@ -204,7 +209,9 @@ def solve_ne(
         An :class:`NESolution`; ``converged`` is False when the budget or
         the damping floor was hit, with diagnostics still filled in.
     """
-    _require_n(n)
+    n = require_int("n", n, 3)
+    _check_tol(tol)
+    max_iter = require_int("max_iter", max_iter, 0)
     limit = NE_PLAYER_CAP_DEFAULT if n_max is None else n_max
     if n > limit:
         raise ResourceLimitError(
@@ -359,12 +366,10 @@ def sequential_solve(
         c0: Target win value, strictly between 0 and 1.
         depth: How many numbers to solve, ``1 <= depth <= n``.
     """
-    _require_n(n)
+    n = require_int("n", n, 3)
     if not 0.0 < c0 < 1.0:
         raise ValueError(f"the target win value must lie in (0, 1), got {c0}")
-    if int(depth) != depth or not 1 <= depth <= n:
-        raise ValueError(f"depth {depth} outside 1..{n}")
-    return _run_chain(n, float(c0), depth)
+    return _run_chain(n, float(c0), require_int("depth", depth, 1, n))
 
 
 def find_cne_sequential(
@@ -386,7 +391,8 @@ def find_cne_sequential(
     and closes the last one with the remaining mass ``T_{n-1}``, which pins
     the one entry the near-tangent final equation resolves worst.
     """
-    _require_n(n)
+    n = require_int("n", n, 3)
+    _check_tol(tol)
     chain = functools.cache(lambda c0: _run_chain(n, c0, n))
     walk = _c0_walk(lambda c0: not chain(c0).too_small, 1e-16)
     trace: list[tuple[float, str]] = []
@@ -436,14 +442,15 @@ def bound_c0(
     is at most ``tol`` wide down to the gap where the too-small and
     tail-infeasible walks part, which the float classification sets, not
     ``tol``: ``bound_c0(11, 11, tol=1e-12)`` is 3.6e-12 wide, and still
-    2.7e-12 at ``tol=0``. Each candidate ``c0`` runs the chain once, and
-    both tests read that run.
+    2.7e-12 at ``tol=0``. The interval contains ``c_NE`` down to
+    ``tol`` of about ``1e-12``; below that the float classification decides
+    the endpoints, and at ``tol=0`` the full-depth interval excludes
+    ``c_NE`` of both routes for most ``n`` in ``4..12``. Each candidate
+    ``c0`` runs the chain once, and both tests read that run.
     """
-    _require_n(n)
-    if int(depth) != depth or not 1 <= depth <= n:
-        raise ValueError(f"depth {depth} outside 1..{n}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a nonnegative number, got {tol}")
+    n = require_int("n", n, 3)
+    depth = require_int("depth", depth, 1, n)
+    _check_tol(tol)
 
     chain = functools.cache(lambda c0: _run_chain(n, c0, depth))
 
@@ -461,7 +468,7 @@ def bound_c0(
             f"depth={depth}: [{lower}, {upper}]",
             [(mid, "large" if large else "small") for mid, large in small_walk + tail_walk],
         )
-    return C0Interval(lower=float(lower), upper=float(upper), depth=int(depth))
+    return C0Interval(lower=float(lower), upper=float(upper), depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +569,9 @@ def best_symmetric(
     equilibrium: the maximizer is the uniform strategy, which no
     self-interested player sticks to.
     """
-    _require_n(n)
+    n = require_int("n", n, 3)
+    restarts = require_int("restarts", restarts, 0)
+    max_steps = require_int("max_steps", max_steps, 0)
     rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / n)]
     for _ in range(restarts):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ResourceLimitError
+from .config import ResourceLimitError, require_int
 from .game import Strategy
 
 # The public entries and PrefixChance take the product form up to n = 400
@@ -373,8 +373,7 @@ def _chances(probs: np.ndarray, n: int, upto: int, every: bool = False, gradient
     """``c_upto``, ``c_1..c_upto`` with ``every``, or with ``gradient`` the
     derivatives of ``c_upto``: by the product form up to ``n = 400``, by
     the Poisson-scaled form above it."""
-    if int(upto) != upto or not 1 <= upto <= n:
-        raise ValueError(f"number index {upto} outside 1..{n}")
+    upto = require_int("i", upto, 1, n)
     if n > _SCALED_ABOVE:
         return _scaled(probs, n, upto, every, gradient)
     if gradient:
@@ -418,8 +417,7 @@ def symmetric_payoff(p: Strategy) -> float:
 def uniform_asymptotic_win_prob(i: int) -> float:
     """Large-game limit of ``c_i`` under uniform play:
     ``e^-1 (1 - e^-1)^(i-1)``."""
-    if int(i) != i or i < 1:
-        raise ValueError(f"number index {i} must be >= 1")
+    i = require_int("i", i, 1)
     return _INV_E * (1.0 - _INV_E) ** (i - 1)
 
 

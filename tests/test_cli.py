@@ -213,6 +213,43 @@ class TestFigure:
         assert code == 1
 
 
+class TestBadInput:
+    FILES = {
+        "nan.txt": "3\nnan 0.5 0.5\n",
+        "probs_number.json": '{"n": 3, "probs": 5}',
+        "probs_null.json": '{"n": 3, "probs": null}',
+        "n_fraction.json": '{"n": 3.7, "probs": [0.5, 0.3, 0.2]}',
+        "probs_objects.json": '{"n": 3, "probs": [{}, 0.5, 0.5]}',
+    }
+
+    @pytest.mark.parametrize("argv", [
+        "winprob --n 3 --strategy nan.txt",
+        "payoff --n 3 --pi nan.txt --p uniform",
+        "winprob --n 3 --strategy probs_number.json",
+        "winprob --n 3 --strategy probs_null.json",
+        "winprob --n 3 --strategy n_fraction.json",
+        "winprob --n 3 --strategy probs_objects.json",
+        "ne --n 3 --tol nan",
+        "ne --n 3 --tol -1",
+        "ne --n 3 --max-iter -3",
+        "ne --n 2",
+        "bestsym --n 3 --restarts -1",
+        "figure --which fig3 --n 5 --c0 0.2 --points -2",
+        "figure --which fig3 --n 5 --c0 1.5",
+        "simulate --n 3 --pi uniform --p uniform --rounds 0",
+        "sequential --n 5 --c0 0.2 --depth 9",
+    ])
+    def test_exits_one_with_one_error_line(self, capsys, cache_file, tmp_path, monkeypatch, argv):
+        # every bad argument is a usage error (exit 1) raised before any
+        # output; an uncaught exception would fail this test with a traceback
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestOutputAndConfig:
     def test_output_file_matches_stdout(self, capsys, cache_file, tmp_path):
         _, stdout_text, _ = run(capsys, "ne", "--n", "3")

@@ -27,6 +27,8 @@ class TestLowestUniqueWinner:
             ChoiceProfile((0, 1, 2), 3)
         with pytest.raises(ValueError):
             ChoiceProfile((1, 2, 4), 3)
+        with pytest.raises(ValueError):  # not truncated to (1, 2, 3)
+            ChoiceProfile((1.5, 2, 3), 3)
 
     def test_permutation_equivariance(self):
         rng = random.Random(1234)
@@ -65,6 +67,8 @@ class TestGameSpec:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             GameSpec(2)
+        with pytest.raises(ValueError):
+            GameSpec(3.5)
         assert GameSpec(3).n == 3
 
 
@@ -111,6 +115,12 @@ class TestStrategyValidation:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             Strategy([-0.1, 0.6, 0.5])
+
+    def test_nan_entry_rejected(self):
+        # every comparison with NaN is False, so a range test must require
+        # entries inside the bounds rather than look for entries outside
+        with pytest.raises(ValueError):
+            Strategy([float("nan"), 0.5, 0.5])
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from lupi import (
     win_prob,
 )
 from lupi import oracle
-from lupi.oracle import _mask_winners, _occupancy_table, _round_winners, _threshold_picks
+from lupi.oracle import _count_winners, _mask_winners, _occupancy_table, _threshold_picks
 
 
 def random_strategy(rng, n):
@@ -208,18 +208,14 @@ class TestSimulate:
             picks = np.vstack(
                 (rng.integers(0, n, size=(500, n)), rng.integers(0, max(2, n // 8), size=(500, n)), crafted)
             )
-            has_winner, winning = _round_winners(picks, n)
-            observed_won = _mask_winners(np.ascontiguousarray(picks.T, dtype=np.uint8))
-            assert observed_won[-3:].tolist() == [False, True, False]
+            by_counts = _count_winners(np.ascontiguousarray(picks.T))
+            by_mask = _mask_winners(np.ascontiguousarray(picks.T, dtype=np.uint8))
+            for observed_won in (by_counts, by_mask):
+                assert observed_won[-3:].tolist() == [False, True, False]
             for row in range(picks.shape[0]):
                 profile = ChoiceProfile(tuple(int(v) + 1 for v in picks[row]), n)
                 result = lowest_unique_winner(profile)
-                if result is None:
-                    assert not has_winner[row]
-                else:
-                    assert has_winner[row]
-                    assert winning[row] + 1 == result[1]
-                assert observed_won[row] == (result is not None and result[0] == n)
+                assert by_counts[row] == by_mask[row] == (result is not None and result[0] == n)
 
     def test_threshold_picks(self):
         # right-closed intervals: v == cum_k picks k, v = 1.0 picks the last

@@ -91,6 +91,9 @@ class TestSolveNE:
             solve_ne(2)
         with pytest.raises(ResourceLimitError):
             solve_ne(25)
+        for kwargs in ({"tol": float("nan")}, {"tol": -1.0}, {"max_iter": -3}):
+            with pytest.raises(ValueError):
+                solve_ne(5, **kwargs)
 
     def test_nonconvergence_reported_not_raised(self):
         sol = solve_ne(9, max_iter=2)
@@ -278,6 +281,11 @@ class TestFindCneSequential:
         c = win_prob_vector(found.strategy).values
         assert np.max(np.abs(c - found.c_ne)) <= 1e-12
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_tol_validation(self, tol):
+        with pytest.raises(ValueError):
+            find_cne_sequential(5, tol=tol)
+
 
 class TestBoundC0:
     def test_contains_equilibrium_value(self):
@@ -335,6 +343,8 @@ class TestBoundC0:
             bound_c0(5, 0)
         with pytest.raises(ValueError):
             bound_c0(5, 6)
+        with pytest.raises(ValueError):
+            bound_c0(5, 2.5)
 
     def test_zero_tol_walk_ends(self):
         # below the spacing of doubles the walk ends once no double lies
@@ -382,6 +392,11 @@ class TestBestSymmetric:
         opt = best_symmetric(8, restarts=4, max_steps=3)
         assert opt.starts == 5
         assert opt.iterations <= opt.starts * 3
+
+    def test_validation(self):
+        for kwargs in ({"restarts": -1}, {"max_steps": -1}):
+            with pytest.raises(ValueError):
+                best_symmetric(5, **kwargs)
 
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_work_count(self, n, monkeypatch):
