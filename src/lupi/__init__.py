@@ -23,7 +23,6 @@ _EXPORTS = {
     "ClassificationError": "config",
     "ResourceLimitError": "config",
     "ChoiceProfile": "game",
-    "GameSpec": "game",
     "Strategy": "game",
     "lowest_unique_winner": "game",
     "GENERATOR_NAME": "oracle",

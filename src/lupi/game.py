@@ -18,16 +18,6 @@ from .config import RENORM_THRESHOLD, SUM_TOLERANCE, require_int
 
 
 @dataclass(frozen=True)
-class GameSpec:
-    """Parameters of one game: ``n`` players picking from ``1..n``."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", require_int("n", self.n, 3))
-
-
-@dataclass(frozen=True)
 class ChoiceProfile:
     """The numbers picked in one round, one entry per player.
 

@@ -177,8 +177,8 @@ class SymmetricOptimum:
 
 
 def _check_tol(tol: float) -> None:
-    if not tol >= 0.0:  # NaN fails it too
-        raise ValueError(f"tol must be a nonnegative number, got {tol}")
+    if not 0.0 <= tol < math.inf:  # NaN fails it too
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
 
 
 def solve_ne(

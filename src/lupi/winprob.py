@@ -48,6 +48,9 @@ _SCALED_ABOVE = 400
 # m < n, p <= 1, stay below n 2^n, which is finite in double precision up to
 # n = 1014.
 _PRODUCT_N_MAX = 1000
+# Entries of the step matrices that one _kernel call builds at once, per
+# kind (steps, slopes): 512 KiB of doubles.
+_STEP_BUDGET = 1 << 16
 
 # Poisson-scaled form: probabilities below the smallest normal double are
 # dropped (subnormal operands make np.convolve far slower), e^-lam is normal
@@ -73,7 +76,7 @@ class WinProbVector:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
-        if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
+        if not np.all((arr >= -1e-9) & (arr <= 1.0 + 1e-9)):  # NaN fails it too
             raise ValueError("win probabilities must lie in [0, 1]")
         arr = np.clip(arr, 0.0, 1.0)
         arr.flags.writeable = False
@@ -108,8 +111,10 @@ class PayoffReport:
 
 @functools.lru_cache(maxsize=4)
 def _product_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``C(N, m)``, and indexed ``[m, m']`` with ``k = m - m'``: ``C(m, k)``
-    and ``k C(m, k)`` (zero where ``k < 0`` or ``k = 1``), and ``k >= 0``."""
+    """``C(N, m)``; indexed ``[m, m']`` with ``k = m - m'``: ``C(m, k)`` and
+    ``k C(m, k)`` (zero where ``k < 0`` or ``k = 1``); and the exponents
+    ``|t - (n - 1)|``, ``t = 0..2n-1``, of the power rows in :func:`_steps`,
+    whose first ``n`` are the ``N - m`` of the tail powers."""
     if n > _PRODUCT_N_MAX:
         raise ResourceLimitError(
             f"the product form serves n <= {_PRODUCT_N_MAX}, got n={n}: its "
@@ -123,15 +128,31 @@ def _product_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     k = np.maximum(rows - np.arange(n), 0)  # where m < m' the mask below zeroes it
     coef = np.where((rows >= np.arange(n)) & (k != 1), binom[rows, k], 0.0)
     slope = coef * k
-    for arr in (binom, coef, slope, k):
+    exponents = np.abs(np.arange(1.0 - n, n + 1.0))  # float: np.power casts no exponent
+    for arr in (binom, coef, slope, exponents):
         arr.flags.writeable = False
-    return binom[-1], coef, slope, k
+    return binom[-1], coef, slope, exponents
 
 
-def _step(n: int, p: float) -> np.ndarray:
-    """Matrix of one table step ``F_j = W F_{j-1}``, ``p_j = p``: ``C(m, k) p^k``."""
-    _, coef, _, k = _product_constants(n)
-    return coef * np.power(p, np.arange(n))[k]
+def _steps(probs, n: int, out: np.ndarray | None = None, slopes: np.ndarray | None = None):
+    """Matrix ``W = C(m, k) p^k`` of one table step ``F_j = W F_{j-1}``,
+    ``p_j = p``, for ``probs`` one ``p``; for a column ``(count, 1)`` of
+    them, the C-ordered ``(count, n, n)`` stack. Written into ``out`` when
+    given; with ``slopes``, the derivatives ``dW/dp = k C(m, k) p^(k-1)``
+    are written into it too.
+
+    Both are a constant matrix times a strided (Toeplitz) view of the power
+    row ``row[t] = p^|t - (n-1)|``: entry ``[m, m']`` reads ``row[n - 1 - k]``,
+    which is ``p^k`` for ``k >= 0`` (``p^(k-1)`` one place on), and a finite
+    power, times a constant 0, where ``m < m'``.
+    """
+    _, coef, slope, exponents = _product_constants(n)
+    rows = np.power(probs, exponents)
+    unit = rows.itemsize
+    shape, strides = (*rows.shape[:-1], n, n), (*rows.strides[:-1], -unit, unit)
+    if slopes is not None:
+        np.multiply(slope, np.ndarray(shape, float, rows, n * unit, strides), out=slopes)
+    return np.multiply(coef, np.ndarray(shape, float, rows, (n - 1) * unit, strides), out=out, order="C")
 
 
 def _kernel(probs: np.ndarray, n: int, upto: int, jacobian: int = 0):
@@ -144,14 +165,38 @@ def _kernel(probs: np.ndarray, n: int, upto: int, jacobian: int = 0):
     ``dW_j/dp_j F_{j-1}``; one reverse sweep carries one adjoint per
     differentiated row. Row ``i`` of the values is the same to the bit for
     every ``upto >= i``.
+
+    The step matrices are built by :func:`_steps` in chunks of consecutive
+    ``j``, as many as fit ``_STEP_BUDGET`` entries (every step up to
+    ``n = 40``, one step from ``n = 256``), into two buffers reused for
+    every chunk. The forward pass forms the ``dW_j/dp_j F_{j-1}`` of each
+    chunk in one stacked product, so the reverse sweep needs only the
+    ``W_j``: it reuses the last chunk, still held, and rebuilds the earlier
+    ones in reverse order
+    (checkpointing; Griewank and Walther, *Evaluating Derivatives*, 2nd ed.,
+    2008, ch. 12). The buffers are C-ordered like a single step matrix:
+    BLAS sums a matrix-vector product in an order that follows the layout,
+    so any other layout would change the last bits.
     """
-    binom_n, _, slope, k = _product_constants(n)
-    expo = np.arange(n - 1, -1, -1)
+    probs = np.asarray(probs, dtype=float)
+    binom_n, _, _, exponents = _product_constants(n)
+    expo = exponents[:n]
+    chunk = max(1, _STEP_BUDGET // (n * n))
+    starts = range(1, upto, chunk)
+    steps = np.empty((min(chunk, upto - 1), n, n))
+    slopes = np.empty_like(steps) if jacobian else None
+    through_count = np.empty((upto, n)) if jacobian else None  # row j: dW_j/dp_j F_{j-1}
     tables = np.zeros((upto, n))
     tables[0, 0] = 1.0
-    for j in range(1, upto):
-        tables[j] = _step(n, float(probs[j - 1])) @ tables[j - 1]
-    terms = [1.0, *(-v for v in np.asarray(probs[:upto], dtype=float).tolist())]
+    for start in starts:
+        stop = min(start + chunk, upto)
+        held = slice(stop - start)
+        _steps(probs[start - 1 : stop - 1, None], n, steps[held], slopes[held] if jacobian else None)
+        for j in range(start, stop):
+            np.matmul(steps[j - start], tables[j - 1], out=tables[j])
+        if jacobian:
+            np.matmul(slopes[held], tables[start - 1 : stop - 1, :, None], out=through_count[start:stop, :, None])
+    terms = [1.0, *(-v for v in probs[:upto].tolist())]
     tails = np.array([[math.fsum(terms[: i + 1])] for i in range(1, upto + 1)])  # exactly rounded
     weights = binom_n * np.power(tails, expo)
     values = (weights * tables).sum(axis=1)
@@ -164,13 +209,15 @@ def _kernel(probs: np.ndarray, n: int, upto: int, jacobian: int = 0):
     through_tail = (binom_n * expo * power * tables[first:]).sum(axis=1)
     jac = -through_tail[:, None] * (np.arange(n) < np.arange(first + 1, upto + 1)[:, None])
     adjoint = np.zeros((n, jacobian))
-    for j in range(upto - 1, 0, -1):
-        if j >= first:
-            adjoint[:, j - first] = weights[j]  # c_{j+1} = a_{j+1} . F_j joins the sweep
-        p = float(probs[j - 1])
-        lowered = np.concatenate(([0.0], np.power(p, np.arange(n - 1))))  # p^(k-1)
-        jac[:, j - 1] += adjoint.T @ ((slope * lowered[k]) @ tables[j - 1])
-        adjoint = _step(n, p).T @ adjoint
+    for start in reversed(starts):
+        stop = min(start + chunk, upto)
+        if stop < upto:  # the last chunk is still held from the forward pass
+            _steps(probs[start - 1 : stop - 1, None], n, steps[: stop - start])
+        for j in range(stop - 1, start - 1, -1):
+            if j >= first:
+                adjoint[:, j - first] = weights[j]  # c_{j+1} = a_{j+1} . F_j joins the sweep
+            jac[:, j - 1] += adjoint.T @ through_count[j]
+            adjoint = steps[j - start].T @ adjoint
     return values, jac
 
 
@@ -338,6 +385,7 @@ class PrefixChance:
             self._table = (0, np.ones(1))  # g over the empty prefix
         else:
             self._table = np.eye(1, n)[0]  # F_0
+            self._binom_n = _product_constants(n)[0]  # C(N, m)
             self._coef = [1.0] + [0.0] * (n - 1)  # C(N, m) F_{i-1}[m]
 
     def at_tail(self, tail: float) -> tuple[float, float]:
@@ -354,14 +402,15 @@ class PrefixChance:
     def fix(self, p_i: float, rest: float) -> None:
         """Fix ``p_i`` and move on to the next number, whose remaining mass is
         ``rest``, the tail mass the caller solved for (no ``1 - sum p``)."""
-        self.prefix.append(float(p_i))
+        p_i = float(p_i)
+        self.prefix.append(p_i)
         self.rest = rest
         big_n = self.n - 1
         if self._scaled:
-            self._table = _convolve(self._table, _no_unique_row(big_n * float(p_i)), big_n)
+            self._table = _convolve(self._table, _no_unique_row(big_n * p_i), big_n)
         else:
-            self._table = _step(self.n, float(p_i)) @ self._table
-            self._coef = (_product_constants(self.n)[0] * self._table).tolist()
+            self._table = _steps(p_i, self.n) @ self._table
+            self._coef = (self._binom_n * self._table).tolist()
 
 
 # ---------------------------------------------------------------------------

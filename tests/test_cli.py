@@ -231,6 +231,8 @@ class TestBadInput:
         "winprob --n 3 --strategy probs_objects.json",
         "ne --n 3 --tol nan",
         "ne --n 3 --tol -1",
+        "ne --n 5 --tol inf",
+        "bound --n 5 --depth 2 --tol inf",
         "ne --n 3 --max-iter -3",
         "ne --n 2",
         "bestsym --n 3 --restarts -1",

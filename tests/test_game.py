@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from lupi import ChoiceProfile, GameSpec, Strategy, lowest_unique_winner
+from lupi import ChoiceProfile, Strategy, lowest_unique_winner
 
 
 class TestLowestUniqueWinner:
@@ -61,15 +61,6 @@ class TestLowestUniqueWinner:
                 winner, number = result
                 assert choices.count(number) == 1
                 assert choices[winner - 1] == number
-
-
-class TestGameSpec:
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            GameSpec(2)
-        with pytest.raises(ValueError):
-            GameSpec(3.5)
-        assert GameSpec(3).n == 3
 
 
 class TestNamedStrategies:

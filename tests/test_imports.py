@@ -13,7 +13,7 @@ from lupi.cli import main
 # every public name of the package, by the submodule that defines it
 EXPORTS = {
     "config": ["ClassificationError", "ResourceLimitError"],
-    "game": ["ChoiceProfile", "GameSpec", "Strategy", "lowest_unique_winner"],
+    "game": ["ChoiceProfile", "Strategy", "lowest_unique_winner"],
     "oracle": ["GENERATOR_NAME", "SimulationStats", "exact_win_prob", "simulate"],
     "polynomials": [
         "SparsePolynomial", "differentiate", "eliminate", "no_winner_poly",

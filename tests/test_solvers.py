@@ -91,9 +91,14 @@ class TestSolveNE:
             solve_ne(2)
         with pytest.raises(ResourceLimitError):
             solve_ne(25)
-        for kwargs in ({"tol": float("nan")}, {"tol": -1.0}, {"max_iter": -3}):
+        for kwargs in ({"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1.0}, {"max_iter": -3}):
             with pytest.raises(ValueError):
                 solve_ne(5, **kwargs)
+
+    def test_iteration_counts_are_pinned(self):
+        # every Newton iterate rests on the kernel's values and Jacobian to
+        # the bit: a kernel change that moves one shows here as a changed count
+        assert [solve_ne(n).iterations for n in range(12, 18)] == [20, 18, 18, 19, 17, 18]
 
     def test_nonconvergence_reported_not_raised(self):
         sol = solve_ne(9, max_iter=2)
@@ -281,7 +286,7 @@ class TestFindCneSequential:
         c = win_prob_vector(found.strategy).values
         assert np.max(np.abs(c - found.c_ne)) <= 1e-12
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_tol_validation(self, tol):
         with pytest.raises(ValueError):
             find_cne_sequential(5, tol=tol)
@@ -354,7 +359,7 @@ class TestBoundC0:
         assert time.perf_counter() - start < 1.0
         assert interval.lower < solve_ne(5).c_ne < interval.upper
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_tol_validation(self, tol):
         with pytest.raises(ValueError):
             bound_c0(5, 2, tol=tol)
@@ -414,6 +419,11 @@ class TestBestSymmetric:
         opt = best_symmetric(n)
         assert opt.iterations <= 150
         assert calls <= 3 * opt.iterations + opt.starts
+
+    def test_step_counts_are_pinned(self):
+        # the kernel's rounding steers every SPG step: a kernel change that
+        # moves one iterate shows here as a changed count
+        assert {n: best_symmetric(n).iterations for n in (8, 10)} == {8: 96, 10: 99}
 
     def test_random_perturbations_never_beat_uniform(self):
         rng = np.random.default_rng(55)

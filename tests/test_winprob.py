@@ -4,6 +4,7 @@ layer, finite differences, and the values the construction must reproduce."""
 import itertools
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -11,9 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lupi.winprob
 from lupi import (
     ResourceLimitError,
     Strategy,
+    WinProbVector,
     exact_win_prob,
     expected_payoff,
     solve_ne,
@@ -32,6 +35,7 @@ from lupi.winprob import (
     _no_unique_row,
     _product_constants,
     _scaled,
+    _steps,
 )
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -223,6 +227,11 @@ class TestVector:
             s = random_strategy(rng, n)
             v = win_prob_vector(s).values
             assert np.all(v >= 0.0) and np.all(v <= 1.0)
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0.5, 0.5], [0.5, -0.1, 0.6], [0.2, 0.3, 1.5]])
+    def test_rejects_entries_outside_the_unit_interval(self, bad):
+        with pytest.raises(ValueError):
+            WinProbVector(np.array(bad))
 
 
 class TestGradient:
@@ -561,6 +570,100 @@ class TestProductForm:
         _, jac = _kernel(skewed, n, 3, jacobian=3)
         assert np.all(np.isfinite(jac))
         assert np.all(np.isfinite(win_prob_gradient(26, Strategy(skewed))))
+
+
+def bits(result) -> bytes:
+    """The bytes of one array or of a tuple of them: equal only when every
+    bit is, the sign of zero included."""
+    arrays = result if isinstance(result, tuple) else (result,)
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+def one_step_kernel(probs, n, upto, jacobian=0):
+    """``_kernel`` as written before its step matrices came in chunks: each
+    ``W_j`` and ``dW_j/dp_j`` gathered from one power row when it is used.
+    The reference for the bits of every chunking."""
+    binom_n, coef, slope, _ = _product_constants(n)
+    k = np.maximum(np.arange(n)[:, None] - np.arange(n), 0)
+
+    def step(p):
+        return coef * np.power(p, np.arange(n))[k]
+
+    expo = np.arange(n - 1, -1, -1)
+    tables = np.zeros((upto, n))
+    tables[0, 0] = 1.0
+    for j in range(1, upto):
+        tables[j] = step(float(probs[j - 1])) @ tables[j - 1]
+    terms = [1.0, *(-v for v in probs[:upto].tolist())]
+    tails = np.array([[math.fsum(terms[: i + 1])] for i in range(1, upto + 1)])
+    weights = binom_n * np.power(tails, expo)
+    values = (weights * tables).sum(axis=1)
+    if not jacobian:
+        return values
+    first = upto - jacobian
+    power = np.power(tails[first:], np.maximum(expo - 1, 0))
+    through_tail = (binom_n * expo * power * tables[first:]).sum(axis=1)
+    jac = -through_tail[:, None] * (np.arange(n) < np.arange(first + 1, upto + 1)[:, None])
+    adjoint = np.zeros((n, jacobian))
+    for j in range(upto - 1, 0, -1):
+        if j >= first:
+            adjoint[:, j - first] = weights[j]
+        p = float(probs[j - 1])
+        lowered = np.concatenate(([0.0], np.power(p, np.arange(n - 1))))
+        jac[:, j - 1] += adjoint.T @ ((slope * lowered[k]) @ tables[j - 1])
+        adjoint = step(p).T @ adjoint
+    return values, jac
+
+
+class TestStepBatches:
+    """The kernel builds its step matrices in chunks of ``_STEP_BUDGET``
+    entries and reuses them in the reverse sweep; no chunking may move a bit."""
+
+    @pytest.mark.parametrize("n", [3, 12, 17, 40])
+    def test_steps_match_one_power_row(self, n):
+        # the strided view against the plain gather C(m, k) p^k, k = m - m'
+        # clamped at 0, with p^(k-1) for the slopes
+        _, coef, slope, _ = _product_constants(n)
+        rows = np.arange(n)[:, None]
+        k = np.maximum(rows - np.arange(n), 0)
+        probs = np.array([0.0, 1.0 / n, 0.3, 1.0])
+        out, slopes = np.empty((4, n, n)), np.empty((4, n, n))
+        _steps(probs[:, None], n, out, slopes)
+        for p, step, derivative in zip(probs.tolist(), out, slopes):
+            lowered = np.concatenate(([0.0], np.power(p, np.arange(n - 1))))
+            assert bits(_steps(p, n)) == bits(step) == bits(coef * np.power(p, np.arange(n))[k])
+            assert bits(derivative) == bits(slope * lowered[k])
+
+    @pytest.mark.parametrize("n", [3, 12, 17, 40])
+    def test_bits_do_not_depend_on_the_budget(self, n, monkeypatch):
+        # the default (one chunk up to n = 40), one step per chunk and a
+        # chunk boundary inside the sweep, on a strategy with zero entries:
+        # each the same to the bit as one step at a time, whose C-ordered
+        # matrices fix the summation order of every matrix-vector product
+        rng = np.random.default_rng(6000 + n)
+        raw = rng.random(n) + 1e-3
+        raw[rng.random(n) < 0.3] = 0.0
+        raw[0] += 0.1
+        probs = raw / raw.sum()
+        calls = [(upto, r) for upto in sorted({2, n // 2 + 1, n}) for r in sorted({0, 1, upto})]
+        reference = [bits(one_step_kernel(probs, n, upto, jacobian=r)) for upto, r in calls]
+        for budget in (lupi.winprob._STEP_BUDGET, 1, 3 * n * n):
+            monkeypatch.setattr(lupi.winprob, "_STEP_BUDGET", budget)
+            assert [bits(_kernel(probs, n, upto, jacobian=r)) for upto, r in calls] == reference
+
+    def test_memory_stays_bounded(self):
+        # from n = 256 a chunk is one step matrix per buffer, so the full
+        # Jacobian at n = 400 peaks near 11 MiB; built one step at a time
+        # it peaked at 8.6 MiB, and with no budget it would hold 1 GiB
+        probs = Strategy.uniform(400).probs
+        _product_constants(400)
+        tracemalloc.start()
+        try:
+            _kernel(probs, 400, 400, jacobian=400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 9 * 2**20
 
 
 class TestAsymptotics:
