@@ -9,10 +9,11 @@ observation per row so any tool can render it.
 
 Conventions: flags have long names only; configuration precedence is
 flags, then ``LUPI_*`` environment variables, then defaults. Output is CSV
-with a header row (JSON via ``--format json``; ``simulate`` is JSON-only and
-``figure`` CSV-only), numbers carry 10 significant digits, and identical
-invocations produce byte-identical output. Every command writes once,
-through :func:`_emit`. Exit codes: 0 success, 1 usage or
+with a header row (JSON via ``--format json``). ``simulate`` has only JSON
+and ``figure`` only CSV: each writes its one form by default and exits 1
+when ``--format`` asks for the other. Numbers carry 10 significant digits,
+and identical invocations produce byte-identical output. Every command
+writes once, through :func:`_emit`. Exit codes: 0 success, 1 usage or
 validation error, 2 numerical non-convergence.
 
 Each command imports the modules it computes with inside its function, so
@@ -76,12 +77,13 @@ def _json(obj: object) -> str:
 
 
 def _emit(args: argparse.Namespace, obj: object = None, header=None, rows=None) -> None:
-    """Write a command's result to ``--output`` or stdout: ``obj`` as JSON
-    under ``--format json`` or when there are no rows, else the CSV table."""
-    if rows is None or (obj is not None and args.format == "json"):
-        text = _json(obj)
-    else:
-        text = _csv(header, rows)
+    """Write a command's result to ``--output`` or stdout in the ``--format``
+    asked for: ``obj`` as JSON or the CSV table. Without ``--format`` that is
+    CSV, or JSON when there are no rows."""
+    form = args.format or ("json" if rows is None else "csv")
+    if (obj if form == "json" else rows) is None:
+        raise CliError(f"{args.command} has no {form} output")
+    text = _json(obj) if form == "json" else _csv(header, rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -94,8 +96,12 @@ def _emit(args: argparse.Namespace, obj: object = None, header=None, rows=None) 
 # ---------------------------------------------------------------------------
 
 
-def _cache_key(n: int, tol: float) -> str:
-    return f"n={n},tol={tol!r}"
+# The tolerance of every cached equilibrium solve; its repr is part of the key.
+_CACHE_TOL = 1e-12
+
+
+def _cache_key(n: int) -> str:
+    return f"n={n},tol={_CACHE_TOL!r}"
 
 
 def _load_cache(path: str) -> dict:
@@ -146,7 +152,7 @@ def _cached_solution(entry: object, n: int) -> tuple[list[float], float] | None:
     return (probs, c_ne) if valid else None
 
 
-def solved_ne_strategies(n_list, cache_file: str, tol: float = 1e-12):
+def solved_ne_strategies(n_list, cache_file: str):
     """Yield ``(n, probs, c_ne)`` for each ``n`` of ``n_list``: the equilibrium
     probabilities as plain floats and its win value, via the cache when warm.
 
@@ -155,14 +161,14 @@ def solved_ne_strategies(n_list, cache_file: str, tol: float = 1e-12):
     """
     data = _load_cache(cache_file)
     for n in n_list:
-        key = _cache_key(n, tol)
+        key = _cache_key(n)
         hit = _cached_solution(data["entries"].get(key), n)
         if hit is not None:
             yield n, *hit
             continue
         from .solvers import solve_ne
 
-        solution = solve_ne(n, tol=tol)
+        solution = solve_ne(n, tol=_CACHE_TOL)
         if not solution.converged:
             raise NonConvergence(
                 f"equilibrium solve for n={n} did not converge "
@@ -171,7 +177,7 @@ def solved_ne_strategies(n_list, cache_file: str, tol: float = 1e-12):
         probs = [float(v) for v in solution.strategy.probs]
         data["entries"][key] = {
             "n": n,
-            "tol": tol,
+            "tol": _CACHE_TOL,
             "probs": probs,
             "c_ne": solution.c_ne,
             "residual": solution.residual,
@@ -286,7 +292,7 @@ def _parse_n_list(raw: str) -> list[int]:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    """The CSV series of one figure; there is no JSON form, so ``--format`` is not read."""
+    """The CSV series of one figure; there is no JSON form."""
     which = args.which
     if which == "fig3":
         if args.n is None or args.c0 is None:
@@ -367,8 +373,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"lupi {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
+    common.add_argument("--format", choices=("csv", "json"), default=None,
+                        help="output format (default csv, or the command's only form)")
     common.add_argument("--output", default=None, help="write output to this file instead of stdout")
     common.add_argument("--cache-path", default=None,
                         help="equilibrium cache file (env LUPI_CACHE_PATH)")

@@ -1,10 +1,11 @@
-"""Size caps, the cache location, tolerances, errors and the integer argument check.
+"""Size caps, the cache location, tolerances, errors and the argument checks.
 
 Exact polynomial expansion and enumeration grow exponentially, so both
 check a player cap first; the Newton equilibrium solve keeps a practical
 one, and the closed-form evaluator, polynomial in ``n``, has none. Each cap
-comes from its function's argument or the default here. Only the cache
-path reads the environment (``LUPI_CACHE_PATH``).
+comes from its function's argument or the default here, and
+:func:`require_cap` is the one place that compares ``n`` against it. Only
+the cache path reads the environment (``LUPI_CACHE_PATH``).
 
 This module imports no numpy, so the command-line front end can read a
 warm cache and report errors without loading it.
@@ -56,6 +57,19 @@ def require_int(name: str, value, lo: int, hi: int | None = None) -> int:
         bounds = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
         raise ValueError(f"expected an integer {bounds}, got {name}={value!r}")
     return as_int
+
+
+def require_cap(n: int, name: str, cap, default: int, cost: str) -> None:
+    """Refuse ``n`` above the size cap: ``cap``, or ``default`` when it is None.
+
+    A cap is an integer argument like any other, checked by
+    :func:`require_int` under ``name``, so NaN, infinity or a fraction
+    raises ``ValueError`` instead of switching the cap off. ``n`` above it
+    raises :class:`ResourceLimitError` naming ``cost``.
+    """
+    limit = default if cap is None else require_int(name, cap, 1)
+    if n > limit:
+        raise ResourceLimitError(f"{cost} for n={n} is above the cap n={limit}")
 
 
 def cache_path(override: str | None = None) -> str:

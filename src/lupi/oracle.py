@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import ORACLE_PLAYER_CAP_DEFAULT, ResourceLimitError, require_int
+from .config import ORACLE_PLAYER_CAP_DEFAULT, require_cap, require_int
 from .game import Strategy
 
 GENERATOR_NAME = "philox4x64-10"
@@ -98,12 +98,7 @@ def exact_win_prob(i: int, p: Strategy, *, max_players: int | None = None) -> fl
     the closed-form evaluator.
     """
     n = p.n
-    cap = ORACLE_PLAYER_CAP_DEFAULT if max_players is None else max_players
-    if n > cap:
-        raise ResourceLimitError(
-            f"enumeration for n={n} has C({2 * n - 2},{n - 1}) occupancy vectors, "
-            f"above the configured cap n={cap}"
-        )
+    require_cap(n, "max_players", max_players, ORACLE_PLAYER_CAP_DEFAULT, "enumeration")
     i = require_int("i", i, 1, n)
     counts, ways = _occupancy_table(n)
     keep = counts[:, i - 1] == 0

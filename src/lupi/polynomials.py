@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping
 
-from .config import N_MAX_SYMBOLIC_DEFAULT, ResourceLimitError, require_int
+from .config import N_MAX_SYMBOLIC_DEFAULT, require_cap, require_int
 
 Exponents = tuple[int, ...]
 
@@ -48,19 +48,16 @@ class SparsePolynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, object] | None = None) -> None:
-        if nvars < 1:
-            raise ValueError("a polynomial needs at least one variable")
+        nvars = require_int("nvars", nvars, 1)
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            key = tuple(int(e) for e in exps)
+            key = tuple(require_int("exponent", e, 0) for e in exps)
             if len(key) != nvars:
                 raise ValueError(f"exponent tuple {key} has length {len(key)}, expected {nvars}")
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
             c = Fraction(coeff)
             if c:
                 clean[key] = c
-        self.nvars = int(nvars)
+        self.nvars = nvars
         self.terms = clean
 
     @classmethod
@@ -130,11 +127,9 @@ class SparsePolynomial:
         return SparsePolynomial(self.nvars, out)
 
     def __pow__(self, power: int) -> "SparsePolynomial":
-        if power < 0:
-            raise ValueError("negative powers are not polynomials")
+        k = require_int("power", power, 0)
         result = SparsePolynomial.constant(self.nvars, 1)
         base = self
-        k = power
         while k:
             if k & 1:
                 result = result * base
@@ -151,12 +146,6 @@ class SparsePolynomial:
         return bool(self.terms)
 
     # -- queries ----------------------------------------------------------
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def coefficient_sum(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
@@ -293,7 +282,8 @@ def opponents_outcome_poly(n: int, *, limit: int | None = None) -> SparsePolynom
     weighted by its multinomial count; the coefficients sum to ``n^(n-1)``.
     The terms are built once per ``n``; every call returns its own copy.
     """
-    n = _check_symbolic_n(n, limit)
+    n = require_int("n", n, 3)
+    require_cap(n, "limit", limit, N_MAX_SYMBOLIC_DEFAULT, "symbolic expansion")
     return SparsePolynomial._of_clean_terms(n, dict(_outcome_terms(n)))
 
 
@@ -356,21 +346,3 @@ def win_prob_poly(n: int, i: int, *, limit: int | None = None) -> SparsePolynomi
     """
     i = require_int("i", i, 1, n)
     return eliminate(no_winner_poly(n, i - 1, limit=limit), i)
-
-
-def expansion_term_count(n: int) -> int:
-    """Number of terms in the expanded outcome polynomial."""
-    return comb(2 * n - 2, n - 1)
-
-
-def _check_symbolic_n(n: int, limit: int | None) -> int:
-    """``n`` as an ``int``, once it is a game size within the expansion cap."""
-    n = require_int("n", n, 3)
-    cap = N_MAX_SYMBOLIC_DEFAULT if limit is None else limit
-    if n > cap:
-        raise ResourceLimitError(
-            f"symbolic expansion for n={n} has {expansion_term_count(n)} terms, "
-            f"above the cap n={cap}; pass a larger limit= or use the "
-            f"closed-form evaluator"
-        )
-    return n

@@ -9,8 +9,9 @@ machinery around them:
   ``p_1, p_2, ...`` one number at a time, each by a monotone Newton
   iteration in the remaining tail mass; :func:`find_cne_sequential`
   bisects ``c0`` until the chain's probabilities close to total mass 1, and
-  :func:`bound_c0` turns shallow chains into a rigorous interval for the
-  equilibrium win value.
+  :func:`bound_c0` turns shallow chains into an interval for the
+  equilibrium win value, which contains it down to ``tol`` of about
+  ``1e-12``, as far as the chain's float classification goes.
 * :func:`best_symmetric` maximizes the everyone-plays-it payoff over the
   simplex, and :func:`verify_ordering_inequality` checks the identity that
   forces the equilibrium to put more mass on 1 than on 2.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import NE_PLAYER_CAP_DEFAULT, ClassificationError, ResourceLimitError, require_int
+from .config import NE_PLAYER_CAP_DEFAULT, ClassificationError, require_cap, require_int
 from .game import Strategy
 from .winprob import PrefixChance, _kernel
 
@@ -212,11 +213,7 @@ def solve_ne(
     n = require_int("n", n, 3)
     _check_tol(tol)
     max_iter = require_int("max_iter", max_iter, 0)
-    limit = NE_PLAYER_CAP_DEFAULT if n_max is None else n_max
-    if n > limit:
-        raise ResourceLimitError(
-            f"equilibrium solve for n={n} is above the practical cap n={limit}"
-        )
+    require_cap(n, "n_max", n_max, NE_PLAYER_CAP_DEFAULT, "equilibrium solve")
 
     def strategy_of(z: np.ndarray) -> np.ndarray:
         logits = np.append(z, 0.0)

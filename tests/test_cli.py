@@ -240,6 +240,8 @@ class TestBadInput:
         "figure --which fig3 --n 5 --c0 1.5",
         "simulate --n 3 --pi uniform --p uniform --rounds 0",
         "sequential --n 5 --c0 0.2 --depth 9",
+        "figure --which fig2a --n-list 3 --format json",
+        "simulate --n 3 --pi uniform --p uniform --rounds 10 --format csv",
     ])
     def test_exits_one_with_one_error_line(self, capsys, cache_file, tmp_path, monkeypatch, argv):
         # every bad argument is a usage error (exit 1) raised before any

@@ -138,6 +138,15 @@ class TestOperators:
                 assert_clean(no_winner_poly_by_subsets(n, i))
                 assert_clean(win_prob_poly(n, i))
 
+    @pytest.mark.parametrize("build", [
+        lambda: SparsePolynomial(2, {(1.5, 0): 1}),
+        lambda: SparsePolynomial(2.5, {}),
+        lambda: SparsePolynomial(2, {(1, 0): 1}) ** 1.5,
+    ], ids=["exponent", "nvars", "power"])
+    def test_fractions_are_not_truncated(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_index_out_of_range(self):
         q = poly(2, {(1, 0): 1})
         for op in (differentiate, eliminate, project_linear):

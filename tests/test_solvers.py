@@ -19,10 +19,14 @@ from lupi import (
     bound_c0,
     exact_win_prob,
     find_cne_sequential,
+    no_winner_poly,
+    no_winner_poly_by_subsets,
+    opponents_outcome_poly,
     sequential_solve,
     solve_ne,
     symmetric_payoff,
     verify_ordering_inequality,
+    win_prob_poly,
     win_prob_vector,
 )
 from lupi.solvers import _spg_ascent, _tail_root
@@ -460,3 +464,24 @@ class TestPayoffOrdering:
         for n in (3, 5, 8):
             for s in (Strategy.uniform(n), Strategy.zeng(n), Strategy.flitney(n)):
                 assert symmetric_payoff(s) <= 1 / n + 1e-15
+
+
+class TestSizeCaps:
+    # each call at n one above its default cap, where an unchecked cap would
+    # still finish quickly: a cap that is not an integer must not switch it off
+    CALLS = [
+        pytest.param("n_max", lambda cap: solve_ne(21, n_max=cap), id="solve_ne"),
+        pytest.param("max_players", lambda cap: exact_win_prob(1, Strategy.uniform(11), max_players=cap),
+                     id="exact_win_prob"),
+        pytest.param("limit", lambda cap: opponents_outcome_poly(9, limit=cap), id="opponents_outcome_poly"),
+        pytest.param("limit", lambda cap: no_winner_poly(9, 0, limit=cap), id="no_winner_poly"),
+        pytest.param("limit", lambda cap: no_winner_poly_by_subsets(9, 0, limit=cap),
+                     id="no_winner_poly_by_subsets"),
+        pytest.param("limit", lambda cap: win_prob_poly(9, 1, limit=cap), id="win_prob_poly"),
+    ]
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, 8.5, "9"], ids=["nan", "inf", "fraction", "string"])
+    @pytest.mark.parametrize("name, call", CALLS)
+    def test_cap_must_be_an_integer(self, name, call, cap):
+        with pytest.raises(ValueError, match=f"{name}="):
+            call(cap)
