@@ -10,11 +10,11 @@ observation per row so any tool can render it.
 Conventions: flags have long names only; configuration precedence is
 flags, then ``LUPI_*`` environment variables, then defaults. Output is CSV
 with a header row (JSON via ``--format json``). ``simulate`` has only JSON
-and ``figure`` only CSV: each writes its one form by default and exits 1
-when ``--format`` asks for the other. Numbers carry 10 significant digits,
-and identical invocations produce byte-identical output. Every command
-writes once, through :func:`_emit`. Exit codes: 0 success, 1 usage or
-validation error, 2 numerical non-convergence.
+and ``figure`` only CSV: each writes its one form by default, and asking
+for the other exits 1 before the command computes anything. Numbers carry
+10 significant digits, and identical invocations produce byte-identical
+output. Every command writes once, through :func:`_emit`. Exit codes: 0
+success, 1 usage or validation error, 2 numerical non-convergence.
 
 Each command imports the modules it computes with inside its function, so
 ``--version`` and a figure served from a warm cache never import numpy.
@@ -78,11 +78,10 @@ def _json(obj: object) -> str:
 
 def _emit(args: argparse.Namespace, obj: object = None, header=None, rows=None) -> None:
     """Write a command's result to ``--output`` or stdout in the ``--format``
-    asked for: ``obj`` as JSON or the CSV table. Without ``--format`` that is
-    CSV, or JSON when there are no rows."""
-    form = args.format or ("json" if rows is None else "csv")
-    if (obj if form == "json" else rows) is None:
-        raise CliError(f"{args.command} has no {form} output")
+    asked for, which :func:`main` has checked against the command's forms:
+    ``obj`` as JSON or the CSV table. Without ``--format`` that is the
+    command's first form."""
+    form = args.format or args.forms[0]
     text = _json(obj) if form == "json" else _csv(header, rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -378,6 +377,7 @@ def build_parser() -> _Parser:
     common.add_argument("--output", default=None, help="write output to this file instead of stdout")
     common.add_argument("--cache-path", default=None,
                         help="equilibrium cache file (env LUPI_CACHE_PATH)")
+    common.set_defaults(forms=("csv", "json"))  # the output forms; the first is the default
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -414,7 +414,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--rounds", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--shards", type=int, default=1)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, forms=("json",))
 
     p_pay = sub.add_parser("payoff", parents=[common],
                            help="expected payoff of one strategy against another")
@@ -445,7 +445,7 @@ def build_parser() -> _Parser:
     p_fig.add_argument("--c0", type=float, default=None, help="target win value (fig3)")
     p_fig.add_argument("--depth", type=int, default=4, help="chain depth (fig3)")
     p_fig.add_argument("--points", type=int, default=256, help="grid points per trace (fig3)")
-    p_fig.set_defaults(func=cmd_figure)
+    p_fig.set_defaults(func=cmd_figure, forms=("csv",))
 
     return parser
 
@@ -454,6 +454,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format not in (None, *args.forms):  # refused before any work
+            raise CliError(f"{args.command} has no {args.format} output")
         args.cache_path = cache_path(args.cache_path)
         return args.func(args)
     except (CliError, ValueError, ResourceLimitError) as exc:

@@ -9,7 +9,8 @@ each number. Win-with-``i`` status depends only on those counts, so the sum
 runs over the ``C(2n-2, n-1)`` compositions of ``n - 1`` picks into ``n``
 numbers instead of the ``n^(n-1)`` labeled outcomes. The vectors and their
 multinomial counts are built once per ``n``, on first use, and kept in a
-small cache; each call selects the rows where ``i`` wins.
+small cache, and so are the rows where each ``i`` wins, stored number-major;
+a call only raises its own rows' counts to powers and sums the terms.
 
 The simulation route actually plays the game. Randomness comes from the
 counter-based Philox 4x64 generator with 10 rounds, keyed by the 128-bit
@@ -94,25 +95,24 @@ def exact_win_prob(i: int, p: Strategy, *, max_players: int | None = None) -> fl
 
     Sums ``multinomial(n-1; k) * prod p_j^k_j`` over all occupancy vectors
     ``k`` of the opponents' picks with ``k_i = 0`` and no ``k_j = 1`` for
-    ``j < i``. Exact up to floating-point rounding, no algebra shared with
-    the closed-form evaluator.
+    ``j < i``: the rows of :func:`_win_rows` for ``i``, selected once per
+    ``n``, so a call only gathers the powers of its own rows. Exact up to
+    floating-point rounding, no algebra shared with the closed-form
+    evaluator.
     """
     n = p.n
     require_cap(n, "max_players", max_players, ORACLE_PLAYER_CAP_DEFAULT, "enumeration")
     i = require_int("i", i, 1, n)
-    counts, ways = _occupancy_table(n)
-    keep = counts[:, i - 1] == 0
-    keep &= ~(counts[:, : i - 1] == 1).any(axis=1)
-    counts = counts[keep]
+    counts, ways = _win_rows(n)[i - 1]
     # every term is (ways * p_1^k_1 * ... * p_(n-1)^k_(n-1)) * p_n^k_n, left
     # to right, with each power one scalar ``p_j ** k``; a skipped factor
     # p_i^0 = 1.0 is exact, and fsum does not depend on the order of terms
     probs = p.probs
     powers = np.array([[probs[j] ** k for k in range(n)] for j in range(n)])
-    weight = powers[0][counts[:, 0]]
+    weight = powers[0][counts[0]]
     for j in range(1, n - 1):
-        weight *= powers[j][counts[:, j]]
-    terms = ways[keep] * weight * powers[n - 1][counts[:, n - 1]]
+        weight *= powers[j][counts[j]]
+    terms = ways * weight * powers[n - 1][counts[n - 1]]
     return math.fsum(terms.tolist())
 
 
@@ -143,6 +143,29 @@ def _occupancy_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return counts, ways
 
 
+@functools.lru_cache(maxsize=4)
+def _win_rows(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per ``i = 1..n``, the rows of :func:`_occupancy_table` where ``i`` wins.
+
+    Entry ``i - 1`` is read-only ``(counts, ways)`` over the rows with
+    ``k_i = 0`` and no ``k_j = 1`` for ``j < i``, in table order;
+    ``counts`` is number-major, ``(n, rows)``, so each number's counts are
+    one contiguous row.
+    """
+    table, table_ways = _occupancy_table(n)
+    unique_upto = np.logical_or.accumulate(table == 1, axis=1)  # [:, j]: some k_1..k_(j+1) is 1
+    rows = []
+    for i in range(1, n + 1):
+        keep = table[:, i - 1] == 0
+        if i > 1:
+            keep &= ~unique_upto[:, i - 2]
+        counts, ways = np.ascontiguousarray(table[keep].T), table_ways[keep]
+        counts.flags.writeable = False
+        ways.flags.writeable = False
+        rows.append((counts, ways))
+    return tuple(rows)
+
+
 def _count_winners(picks: np.ndarray) -> np.ndarray:
     """Per round, whether the last row's player wins; ``picks`` is (players,
     rounds) of 0-based numbers below the player count."""
@@ -152,24 +175,28 @@ def _count_winners(picks: np.ndarray) -> np.ndarray:
     return unique.any(axis=0) & (unique.argmax(axis=0) == picks[-1])
 
 
-def _threshold_picks(cum: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """0-based picks, ``sum_k [cum_k < v]`` over ``k < n - 1``, as uint8.
+def _threshold_picks(cum: np.ndarray, v: np.ndarray, out=None, below=None) -> np.ndarray:
+    """0-based picks, ``sum_k [cum_k < v]`` over ``k < n - 1``, as uint8,
+    written into ``out`` when given; ``below`` is a bool scratch array of
+    ``v``'s shape, allocated when not given.
 
     Equals ``np.searchsorted(cum, v, side="left")`` for ``v`` in ``(0, 1]``
     and ``cum[-1] == 1.0``, ties and an ulp of overshoot in ``cum`` included.
     """
-    picks = np.zeros(v.shape, dtype=np.uint8)
-    below = np.empty(v.shape, dtype=bool)
+    picks = np.empty(v.shape, dtype=np.uint8) if out is None else out
+    below = np.empty(v.shape, dtype=bool) if below is None else below
+    picks.fill(0)
     for c in cum[:-1]:
         np.less(c, v, out=below)
         picks += below.view(np.uint8)
     return picks
 
 
-def _mask_winners(picks: np.ndarray) -> np.ndarray:
+def _mask_winners(picks: np.ndarray, bits=None) -> np.ndarray:
     """Per round, whether the last row's player wins; ``picks`` is (players,
-    rounds) of 0-based numbers below 64."""
-    bits = np.left_shift(np.uint64(1), picks, dtype=np.uint64)
+    rounds) of 0-based numbers below 64. ``bits`` is a uint64 scratch array
+    of ``picks``' shape, allocated when not given."""
+    bits = np.left_shift(np.uint64(1), picks, dtype=np.uint64, out=bits)
     once = bits[0].copy()
     twice = np.zeros_like(once)
     for b in bits[1:]:
@@ -211,24 +238,39 @@ def _span_counts(
     The span's draws start at round ``first_round`` of the Philox stream
     keyed ``(seed, shard)``: each double takes one uint64 and each counter
     step gives four, so with ``first_round`` a multiple of 4 the stream is
-    entered at counter ``first_round * n / 4``.
+    entered at counter ``first_round * n / 4``. Every block writes its
+    draws, picks and scratch arrays into buffers made once per span, a
+    short last block into the front of each.
     """
     n = cum_p.size
     key = np.array([seed, shard], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key, counter=first_round * n // 4))
     chosen_counts = np.zeros(n, dtype=np.int64)
     win_counts = np.zeros(n, dtype=np.int64)
-    block_rounds = min(_BLOCK_ROUNDS, max(1, _BLOCK_DRAWS // n))
-    if n <= 64:  # a round's picks fit one uint64 mask
-        pick, winners = _threshold_picks, _mask_winners
-    else:
-        pick, winners = np.searchsorted, _count_winners
+    block_rounds = min(_BLOCK_ROUNDS, max(1, _BLOCK_DRAWS // n), span_rounds)
+    masks = n <= 64  # a round's picks fit one uint64 mask
+    # draws, v, picks and, with masks, the compare scratch array
+    dtypes = (float, float, np.uint8, bool) if masks else (float, float, np.intp)
+    buffers = [np.empty(n * block_rounds, dtype=dtype) for dtype in dtypes]
     done = 0
     while done < span_rounds:
         block = min(block_rounds, span_rounds - done)
-        v = np.subtract(1.0, rng.random((block, n)).T, order="C")  # one row per player
-        picks = np.vstack((pick(cum_p, v[:-1]), pick(cum_pi, v[-1:])))
-        observed, observed_won = picks[-1], winners(picks)
+        # a short last block takes the front of each buffer
+        draws, *rest = (buf[: n * block] for buf in buffers)
+        rng.random(out=draws)  # round-major: one round's n draws after another
+        v, picks, *scratch = (a.reshape(n, block) for a in rest)
+        np.subtract(1.0, draws.reshape(block, n).T, out=v)  # one row per player
+        if masks:
+            (below,) = scratch
+            _threshold_picks(cum_p, v[:-1], picks[:-1], below[:-1])
+            _threshold_picks(cum_pi, v[-1:], picks[-1:], below[-1:])
+            # the draws are spent once v is formed: their buffer takes the bits
+            observed_won = _mask_winners(picks, draws.view(np.uint64).reshape(n, block))
+        else:
+            picks[:-1] = np.searchsorted(cum_p, v[:-1])
+            picks[-1] = np.searchsorted(cum_pi, v[-1])
+            observed_won = _count_winners(picks)
+        observed = picks[-1]
         chosen_counts += np.bincount(observed, minlength=n)
         win_counts += np.bincount(observed[observed_won], minlength=n)
         done += block

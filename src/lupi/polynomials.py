@@ -282,9 +282,15 @@ def opponents_outcome_poly(n: int, *, limit: int | None = None) -> SparsePolynom
     weighted by its multinomial count; the coefficients sum to ``n^(n-1)``.
     The terms are built once per ``n``; every call returns its own copy.
     """
+    n, terms = _capped_outcome_terms(n, limit)
+    return SparsePolynomial._of_clean_terms(n, dict(terms))
+
+
+def _capped_outcome_terms(n: int, limit: int | None) -> tuple[int, dict[Exponents, Fraction]]:
+    """``n`` as an int and its cached outcome terms, once ``n`` passes the cap."""
     n = require_int("n", n, 3)
     require_cap(n, "limit", limit, N_MAX_SYMBOLIC_DEFAULT, "symbolic expansion")
-    return SparsePolynomial._of_clean_terms(n, dict(_outcome_terms(n)))
+    return n, _outcome_terms(n)
 
 
 @functools.lru_cache(maxsize=4)
@@ -343,6 +349,18 @@ def win_prob_poly(n: int, i: int, *, limit: int | None = None) -> SparsePolynomi
     below ``i`` is picked exactly once and nobody picks ``i``: eliminate
     ``p_i`` from the no-winner polynomial of depth ``i - 1``. The result
     contains no ``p_i`` at all.
+
+    ``p_i`` is eliminated first, from the outcome terms, and the recursion
+    of :func:`no_winner_poly` runs on what is left (1,716 of 6,435 terms at
+    ``n = 8``). Both operators keep or drop whole terms without
+    changing a coefficient, ``eliminate`` by ``e_i`` and each
+    ``q - project_linear(q, j)``, ``j < i``, by ``e_j``, so they commute:
+    the result has the same terms, coefficients and key order as
+    ``eliminate(no_winner_poly(n, i - 1), i)``.
     """
     i = require_int("i", i, 1, n)
-    return eliminate(no_winner_poly(n, i - 1, limit=limit), i)
+    n, terms = _capped_outcome_terms(n, limit)
+    q = SparsePolynomial._of_clean_terms(n, {e: c for e, c in terms.items() if e[i - 1] == 0})
+    for j in range(1, i):
+        q = q - project_linear(q, j)
+    return q

@@ -305,7 +305,8 @@ def _scaled(probs: np.ndarray, n: int, upto: int, every: bool = False, gradient:
     """``c_upto`` by the Poisson-scaled form, ``c_1..c_upto`` with ``every``,
     or with ``gradient`` the derivatives of ``c_upto`` in all ``n`` raw
     coordinates. One walk advances the prefix table ``G_j = r_1 * ... * r_j``
-    and reads ``c_i`` off ``G_(i-1)`` only at the rows asked for. It stops at
+    and reads ``c_i`` off ``G_(i-1)`` only at the rows asked for; each
+    distinct ``lam_j = N p_j`` builds its row ``r_j`` once per walk. It stops at
     the first table that has underflowed to a single 0, since every later
     one would too: ``c_i`` and its derivatives are 0 from that row on.
 
@@ -320,6 +321,7 @@ def _scaled(probs: np.ndarray, n: int, upto: int, every: bool = False, gradient:
     terms = np.asarray(probs[:upto], dtype=float).tolist()
     values = np.zeros(upto)
     table, steps = (0, np.ones(1)), []  # G_0; (r_j, G_(j-1)) for the reverse sweep
+    rows: dict[float, tuple[int, np.ndarray]] = {}  # r_j by lam_j: one row under uniform play
     for i in range(1, upto + 1):
         if not table[1][0]:
             break
@@ -331,7 +333,10 @@ def _scaled(probs: np.ndarray, n: int, upto: int, every: bool = False, gradient:
             log_tail = math.log1p(-s_i) if s_i < 1.0 else _LOG_ZERO
             values[i - 1], through_tail = _scaled_chance(table, weights, log_tail)
         if i < upto:
-            row = _no_unique_row(big_n * terms[i - 1])
+            lam = big_n * terms[i - 1]
+            row = rows.get(lam)
+            if row is None:
+                row = rows[lam] = _no_unique_row(lam)
             if gradient:
                 steps.append((row, table))
             table = _convolve(table, row, big_n)

@@ -139,6 +139,16 @@ class TestSimulate:
         assert obj["generator"] == "philox4x64-10"
         assert abs(obj["w_estimate"] - 8 / 27) <= 4 * obj["w_std_err"]
 
+    def test_format_refused_before_the_run(self, capsys, cache_file, monkeypatch):
+        # a form simulate does not have exits 1 without simulating a round
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate ran")
+
+        monkeypatch.setattr("lupi.oracle.simulate", refuse)
+        code, out, err = run(capsys, "simulate", "--n", "3", "--pi", "uniform", "--p", "uniform",
+                             "--rounds", "20000000", "--format", "csv")
+        assert (code, out, err) == (1, "", "error: simulate has no csv output\n")
+
     def test_zero_rounds(self, capsys, cache_file):
         code, _, _ = run(capsys, "simulate", "--n", "3", "--pi", "uniform",
                          "--p", "uniform", "--rounds", "0")

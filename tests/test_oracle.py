@@ -156,7 +156,7 @@ class TestExactWinProb:
         with pytest.raises(ValueError):
             exact_win_prob(0, Strategy.uniform(3))
 
-    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("n", range(3, 11))
     def test_bitwise_equal_to_recursion(self, n):
         rng = np.random.default_rng(1000 + n)
         sparse = rng.random(n) + 1e-3
@@ -186,8 +186,9 @@ class TestExactWinProb:
     def test_nothing_built_at_import(self):
         code = (
             "import lupi\n"
-            "from lupi.oracle import _occupancy_table\n"
+            "from lupi.oracle import _occupancy_table, _win_rows\n"
             "assert _occupancy_table.cache_info().currsize == 0\n"
+            "assert _win_rows.cache_info().currsize == 0\n"
             "from lupi.polynomials import _outcome_terms\n"
             "assert _outcome_terms.cache_info().currsize == 0\n"
         )

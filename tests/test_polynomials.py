@@ -263,6 +263,14 @@ class TestWinProbPolynomial:
             assert all(exps[i - 1] == 0 for exps in q.terms)
 
     @pytest.mark.parametrize("n", range(3, 9))
+    def test_equals_the_public_recursion(self, n):
+        # p_i is eliminated first; the public operators, in the order of the
+        # definition, give the same terms, coefficients and key order
+        for i in range(1, n + 1):
+            reference = eliminate(no_winner_poly(n, i - 1), i)
+            assert list(win_prob_poly(n, i).terms.items()) == list(reference.terms.items())
+
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_golden_digest(self, n):
         # sha256 over canonical_text of win_prob_poly(n, 1..n), recorded
         # when opponents_outcome_poly built its terms afresh on every call

@@ -221,6 +221,23 @@ class TestVector:
             for i in (1, 2, 17, n):
                 assert v[i - 1] == win_prob(i, s)
 
+    def test_one_poisson_row_per_distinct_mass(self, monkeypatch):
+        # the scaled walk builds r_j once for each distinct lam_j = N p_j:
+        # once under uniform play, three times for three distinct masses
+        lams = []
+
+        def counted(lam):
+            lams.append(lam)
+            return _no_unique_row(lam)
+
+        monkeypatch.setattr(lupi.winprob, "_no_unique_row", counted)
+        win_prob_vector(Strategy.uniform(1000))
+        assert len(lams) == 1
+        lams.clear()
+        raw = np.tile([1.0, 2.0, 3.0], 200)
+        win_prob_vector(Strategy(raw / raw.sum()))
+        assert len(lams) == len(set(lams)) == 3
+
     def test_entries_are_probabilities(self):
         rng = np.random.default_rng(29)
         for n in (3, 5, 9):
