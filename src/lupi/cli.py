@@ -14,7 +14,8 @@ and ``figure`` only CSV: each writes its one form by default, and asking
 for the other exits 1 before the command computes anything. Numbers carry
 10 significant digits, and identical invocations produce byte-identical
 output. Every command writes once, through :func:`_emit`. Exit codes: 0
-success, 1 usage or validation error, 2 numerical non-convergence.
+success, 1 usage or validation error (an unwritable ``--output`` or
+``--cache-path`` included), 2 numerical non-convergence.
 
 Each command imports the modules it computes with inside its function, so
 ``--version`` and a figure served from a warm cache never import numpy.
@@ -458,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError(f"{args.command} has no {args.format} output")
         args.cache_path = cache_path(args.cache_path)
         return args.func(args)
-    except (CliError, ValueError, ResourceLimitError) as exc:
+    except (CliError, ValueError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonConvergence, ClassificationError) as exc:

@@ -7,10 +7,11 @@ than the same code twice.
 The exact route enumerates occupancy vectors: how many opponents land on
 each number. Win-with-``i`` status depends only on those counts, so the sum
 runs over the ``C(2n-2, n-1)`` compositions of ``n - 1`` picks into ``n``
-numbers instead of the ``n^(n-1)`` labeled outcomes. The vectors and their
-multinomial counts are built once per ``n``, on first use, and kept in a
-small cache, and so are the rows where each ``i`` wins, stored number-major;
-a call only raises its own rows' counts to powers and sums the terms.
+numbers instead of the ``n^(n-1)`` labeled outcomes. Once per ``n``, on
+first use, the vectors and their multinomial counts are built, and the rows
+where each ``i`` wins are kept, stored number-major, in a small cache; the
+full set of vectors is not. A call only raises its own rows' counts to
+powers and sums the terms.
 
 The simulation route actually plays the game. Randomness comes from the
 counter-based Philox 4x64 generator with 10 rounds, keyed by the 128-bit
@@ -117,42 +118,31 @@ def exact_win_prob(i: int, p: Strategy, *, max_players: int | None = None) -> fl
 
 
 @functools.lru_cache(maxsize=4)
-def _occupancy_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every occupancy vector of ``n - 1`` picks over ``n`` numbers and its count.
+def _win_rows(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per ``i = 1..n``, the occupancy vectors where ``i`` wins and their counts.
 
-    Returns read-only ``(counts, ways)``: ``counts`` has one row per vector
-    (``C(2n-2, n-1)`` rows, ``n`` columns), ``ways`` the exact multinomial
-    ``(n-1)! / prod k_j!`` of each row. Built one number at a time: a
-    partial row with ``r`` picks left spawns one row per count ``k = 0..r``
-    of the next number, and its ways multiply by ``C(r, k)``.
+    Entry ``i - 1`` is read-only ``(counts, ways)`` over the vectors ``k``
+    of ``n - 1`` picks over ``n`` numbers with ``k_i = 0`` and no
+    ``k_j = 1`` for ``j < i``; ``counts`` is number-major, ``(n, rows)``,
+    so each number's counts are one contiguous row, and ``ways`` holds the
+    exact multinomials ``(n-1)! / prod k_j!``. All ``C(2n-2, n-1)`` vectors
+    are built one number at a time: a partial vector with ``r`` picks left
+    spawns one vector per count ``k = 0..r`` of the next number, and its
+    ways multiply by ``C(r, k)``. Only the selected rows are kept.
     """
     binom = np.array([[math.comb(r, k) for k in range(n)] for r in range(n)], dtype=np.int64)
-    counts = np.zeros((1, 0), dtype=np.uint8)
+    table = np.zeros((1, 0), dtype=np.uint8)
     remaining = np.array([n - 1])
-    ways = np.ones(1, dtype=np.int64)
+    table_ways = np.ones(1, dtype=np.int64)
     for _ in range(n - 1):
         spawn = remaining + 1
         parent = np.repeat(np.arange(remaining.size), spawn)
         k = np.arange(parent.size) - np.repeat(np.cumsum(spawn) - spawn, spawn)
-        counts = np.column_stack((counts[parent], k.astype(np.uint8)))
-        ways = ways[parent] * binom[remaining[parent], k]
+        table = np.column_stack((table[parent], k.astype(np.uint8)))
+        table_ways = table_ways[parent] * binom[remaining[parent], k]
         remaining = remaining[parent] - k
-    counts = np.column_stack((counts, remaining.astype(np.uint8)))
-    counts.flags.writeable = False
-    ways.flags.writeable = False
-    return counts, ways
-
-
-@functools.lru_cache(maxsize=4)
-def _win_rows(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per ``i = 1..n``, the rows of :func:`_occupancy_table` where ``i`` wins.
-
-    Entry ``i - 1`` is read-only ``(counts, ways)`` over the rows with
-    ``k_i = 0`` and no ``k_j = 1`` for ``j < i``, in table order;
-    ``counts`` is number-major, ``(n, rows)``, so each number's counts are
-    one contiguous row.
-    """
-    table, table_ways = _occupancy_table(n)
+    table = np.column_stack((table, remaining.astype(np.uint8)))
+    del parent, k  # the build's index arrays, not needed for the selection
     unique_upto = np.logical_or.accumulate(table == 1, axis=1)  # [:, j]: some k_1..k_(j+1) is 1
     rows = []
     for i in range(1, n + 1):

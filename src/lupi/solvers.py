@@ -569,7 +569,7 @@ def best_symmetric(
     n = require_int("n", n, 3)
     restarts = require_int("restarts", restarts, 0)
     max_steps = require_int("max_steps", max_steps, 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_int("seed", seed, 0))
     starts = [np.full(n, 1.0 / n)]
     for _ in range(restarts):
         raw = rng.random(n) + 0.1
@@ -600,6 +600,7 @@ def verify_ordering_inequality(p: Strategy, *, tol: float = 1e-9) -> bool:
     the ordering is strict. The uniform strategy fails it: the left side
     vanishes while the right side does not.
     """
+    _check_tol(tol)
     n = p.n
     p1, p2 = float(p.probs[0]), float(p.probs[1])
     lhs = (1.0 - p2) ** (n - 1) - (1.0 - p1) ** (n - 1)

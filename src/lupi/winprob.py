@@ -125,9 +125,10 @@ def _product_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     coef = np.where((rows >= np.arange(n)) & (k != 1), binom[rows, k], 0.0)
     slope = coef * k
     exponents = np.abs(np.arange(1.0 - n, n + 1.0))  # float: np.power casts no exponent
-    for arr in (binom, coef, slope, exponents):
+    binom_n = binom[-1].copy()  # a view would keep the whole table alive in the cache
+    for arr in (binom_n, coef, slope, exponents):
         arr.flags.writeable = False
-    return binom[-1], coef, slope, exponents
+    return binom_n, coef, slope, exponents
 
 
 def _steps(probs, n: int, out: np.ndarray | None = None, slopes: np.ndarray | None = None):
@@ -374,7 +375,8 @@ class PrefixChance:
     ``p_i`` is evaluated at ``T = R - p_i``. :meth:`fix` appends ``p_i`` and
     advances the table one step.
     Above ``n = 400`` the Poisson-scaled form is evaluated instead, at
-    ``log T``.
+    ``log T``, with the log-weights of the fixed prefix formed once per
+    :meth:`fix`.
     """
 
     def __init__(self, n: int):
@@ -384,6 +386,7 @@ class PrefixChance:
         self._scaled = n > _SCALED_ABOVE
         if self._scaled:
             self._table = (0, np.ones(1))  # g over the empty prefix
+            self._weights = _log_weights(self._table, n - 1, 0.0)
         else:
             self._table = np.eye(1, n)[0]  # F_0
             self._binom_n = _product_constants(n)[0]  # C(N, m)
@@ -392,8 +395,7 @@ class PrefixChance:
     def at_tail(self, tail: float) -> tuple[float, float]:
         """``c_i`` and ``dc_i/dT`` at the tail mass ``T = tail``, one Horner pass."""
         if self._scaled:
-            weights = _log_weights(self._table, self.n - 1, (self.n - 1) * math.fsum(self.prefix))
-            return _scaled_chance(self._table, weights, math.log(tail) if tail > 0.0 else _LOG_ZERO)
+            return _scaled_chance(self._table, self._weights, math.log(tail) if tail > 0.0 else _LOG_ZERO)
         value = slope = 0.0
         for a in self._coef:
             slope = slope * tail + value
@@ -409,6 +411,7 @@ class PrefixChance:
         big_n = self.n - 1
         if self._scaled:
             self._table = _convolve(self._table, _no_unique_row(big_n * p_i), big_n)
+            self._weights = _log_weights(self._table, big_n, big_n * math.fsum(self.prefix))
         else:
             self._table = _steps(p_i, self.n) @ self._table
             self._coef = (self._binom_n * self._table).tolist()

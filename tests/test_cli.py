@@ -252,6 +252,8 @@ class TestBadInput:
         "sequential --n 5 --c0 0.2 --depth 9",
         "figure --which fig2a --n-list 3 --format json",
         "simulate --n 3 --pi uniform --p uniform --rounds 10 --format csv",
+        "ne --n 3 --output .",
+        "winprob --n 4 --strategy ne --cache-path nan.txt/c.json",
     ])
     def test_exits_one_with_one_error_line(self, capsys, cache_file, tmp_path, monkeypatch, argv):
         # every bad argument is a usage error (exit 1) raised before any

@@ -24,7 +24,7 @@ from lupi import (
     win_prob,
 )
 from lupi import oracle
-from lupi.oracle import _count_winners, _mask_winners, _occupancy_table, _threshold_picks
+from lupi.oracle import _count_winners, _mask_winners, _threshold_picks, _win_rows
 
 
 def random_strategy(rng, n):
@@ -172,23 +172,35 @@ class TestExactWinProb:
 
     @pytest.mark.parametrize("n", [3, 6, 10])
     def test_occupancy_table(self, n):
-        counts, ways = _occupancy_table(n)
-        assert counts.shape == (math.comb(2 * n - 2, n - 1), n)
-        assert len({tuple(row) for row in counts.tolist()}) == counts.shape[0]
-        assert (counts.sum(axis=1) == n - 1).all()
-        assert all(
-            w == math.factorial(n - 1) // math.prod(math.factorial(k) for k in row)
-            for row, w in zip(counts.tolist(), ways.tolist())
-        )
-        assert int(ways.sum()) == n ** (n - 1)
-        assert not counts.flags.writeable and not ways.flags.writeable
+        # the occupancy vectors kept per i against an independent count of
+        # the compositions of n - 1 picks where i wins
+        vectors = [
+            [picks.count(j) for j in range(n)]
+            for picks in combinations_with_replacement(range(n), n - 1)
+        ]
+        rows = _win_rows(n)
+        assert len(rows) == n
+        for i, (counts, ways) in enumerate(rows, 1):
+            assert not counts.flags.writeable and not ways.flags.writeable
+            assert counts.shape == (n, ways.size)
+            kept = counts.T.tolist()
+            assert len({tuple(row) for row in kept}) == len(kept)
+            assert all(sum(row) == n - 1 and row[i - 1] == 0 and 1 not in row[: i - 1] for row in kept)
+            assert all(
+                w == math.factorial(n - 1) // math.prod(math.factorial(k) for k in row)
+                for row, w in zip(kept, ways.tolist())
+            )
+            assert len(kept) == sum(row[i - 1] == 0 and 1 not in row[: i - 1] for row in vectors)
+        # k_1 = 0: every labeled outcome of n - 1 picks over the other n - 1 numbers
+        assert int(rows[0][1].sum()) == (n - 1) ** (n - 1)
 
     def test_nothing_built_at_import(self):
         code = (
             "import lupi\n"
-            "from lupi.oracle import _occupancy_table, _win_rows\n"
-            "assert _occupancy_table.cache_info().currsize == 0\n"
+            "from lupi.oracle import _win_rows\n"
             "assert _win_rows.cache_info().currsize == 0\n"
+            "from lupi.winprob import _product_constants\n"
+            "assert _product_constants.cache_info().currsize == 0\n"
             "from lupi.polynomials import _outcome_terms\n"
             "assert _outcome_terms.cache_info().currsize == 0\n"
         )

@@ -403,7 +403,7 @@ class TestBestSymmetric:
         assert opt.iterations <= opt.starts * 3
 
     def test_validation(self):
-        for kwargs in ({"restarts": -1}, {"max_steps": -1}):
+        for kwargs in ({"restarts": -1}, {"max_steps": -1}, {"seed": -1}, {"seed": 1.5}, {"seed": math.nan}):
             with pytest.raises(ValueError):
                 best_symmetric(5, **kwargs)
 
@@ -448,6 +448,12 @@ class TestOrderingInequality:
 
     def test_fails_at_uniform(self):
         assert not verify_ordering_inequality(Strategy.uniform(5))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tol_validation(self, tol):
+        # tol=inf would pass any strategy with p_2 < p_1
+        with pytest.raises(ValueError):
+            verify_ordering_inequality(Strategy([0.5, 0.3, 0.2]), tol=tol)
 
 
 class TestPayoffOrdering:

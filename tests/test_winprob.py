@@ -28,13 +28,16 @@ from lupi import (
     win_prob_vector,
 )
 from lupi.winprob import (
+    _LOG_ZERO,
     _PRODUCT_N_MAX,
     _SCALED_ABOVE,
     PrefixChance,
     _kernel,
+    _log_weights,
     _no_unique_row,
     _product_constants,
     _scaled,
+    _scaled_chance,
     _steps,
 )
 
@@ -572,6 +575,26 @@ class TestProductForm:
                 assert abs(at_tail - ref) <= tol * ref
                 assert abs(slope - ref_slope) <= tol * ref_slope
             chance.fix(s.probs[i - 1], rest=math.fsum([1.0, *(-s.probs[:i])]))
+
+    @pytest.mark.parametrize("n", [401, 500])
+    def test_prefix_chance_weights_formed_at_fix(self, n):
+        # above the product form the weights of the fixed prefix are formed
+        # once per fix: the same bits as forming them inline at every call
+        s = random_strategy(np.random.default_rng(4100 + n), n)
+        chance = PrefixChance(n)
+        for i in range(1, 5):
+            weights = _log_weights(chance._table, n - 1, (n - 1) * math.fsum(chance.prefix))
+            for tail in (chance.rest, 0.5 * chance.rest, 0.0):
+                log_tail = math.log(tail) if tail > 0.0 else _LOG_ZERO
+                inline = _scaled_chance(chance._table, weights, log_tail)
+                assert [v.hex() for v in chance.at_tail(tail)] == [v.hex() for v in inline]
+            chance.fix(s.probs[i - 1], rest=math.fsum([1.0, *(-s.probs[:i])]))
+
+    def test_constants_hold_one_binomial_row(self):
+        # a view of the last row would keep the whole (n, n) table cached
+        binom_n = _product_constants(12)[0]
+        assert binom_n.base is None and not binom_n.flags.writeable
+        assert binom_n.tolist() == [math.comb(11, m) for m in range(12)]
 
     def test_no_overflow_at_the_size_limit(self):
         n = _PRODUCT_N_MAX
