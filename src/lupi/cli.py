@@ -320,7 +320,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         for n in n_list:
             per = win_prob_vector(Strategy.uniform(n))
             rows.extend([n, i + 1, float(v)] for i, v in enumerate(per.values))
-    elif which == "fig2b":
+    else:  # fig2b; argparse's choices refuse any other --which
         from .game import Strategy
         from .winprob import symmetric_payoff
 
@@ -333,8 +333,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
                 "flitney": symmetric_payoff(Strategy.flitney(n)),
             }
             rows.extend([name, n, n * w] for name, w in series.items())
-    else:
-        raise CliError(f"unknown figure {which!r}")
     _emit(args, header=header, rows=rows)
     return EXIT_OK
 
@@ -355,7 +353,7 @@ def _figure_traces(args: argparse.Namespace) -> list[list[object]]:
         rows.extend([entry.i, float(x), float(chance.at_tail(chance.rest - x)[0])] for x in grid)
         if entry.p_i is None:
             break
-        chance.fix(entry.p_i, rest=result.tails[entry.i - 1])  # the interval the chain solved on
+        chance.fix(result.tails[entry.i - 1])  # the tail the chain solved for
     return rows
 
 

@@ -29,13 +29,25 @@ larger games belong to the closed-form evaluator.
 from __future__ import annotations
 
 import functools
+import numbers
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, isfinite, lcm, prod
 from typing import Iterable, Iterator, Mapping
 
 from .config import N_MAX_SYMBOLIC_DEFAULT, require_cap, require_int
 
 Exponents = tuple[int, ...]
+
+
+def _exact(v) -> Fraction:
+    """A coordinate of an evaluation point as an exact fraction."""
+    if isinstance(v, numbers.Rational):
+        return Fraction(v)
+    if not isinstance(v, numbers.Real):  # a string would parse as a fraction
+        raise TypeError(f"a polynomial is evaluated at real numbers, got {v!r}")
+    if not isfinite(v):
+        raise ValueError(f"a polynomial is evaluated at finite numbers, got {v}")
+    return Fraction(*v.as_integer_ratio())  # exact for floats of every width
 
 
 class SparsePolynomial:
@@ -150,30 +162,18 @@ class SparsePolynomial:
     def coefficient_sum(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
 
-    def evaluate(self, values: Iterable) -> Fraction | float:
-        """Evaluate at a point; exact when every value is int or Fraction."""
-        vals = list(values)
-        if len(vals) != self.nvars:
-            raise ValueError(f"expected {self.nvars} values, got {len(vals)}")
-        if all(isinstance(v, (int, Fraction)) for v in vals):
-            return self._evaluate_exact([Fraction(v) for v in vals])
-        total = 0.0
-        for exps, coeff in self.terms.items():
-            term = float(coeff)
-            for v, e in zip(vals, exps):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
-
-    def _evaluate_exact(self, vals: list[Fraction]) -> Fraction:
-        """Exact value as one integer sum over a common denominator.
+    def evaluate(self, values: Iterable) -> Fraction:
+        """Exact value at a point of finite real numbers, a float taken at
+        its exact binary value, as one integer sum over a common denominator.
 
         With ``v_j = a_j / b_j`` and ``E_j`` the largest exponent of ``p_j``,
         every monomial is ``prod a_j^e_j b_j^(E_j - e_j)`` over
         ``L = prod b_j^E_j``. Numerators are summed per coefficient
         denominator, and the sums are combined into one ``Fraction``.
         """
+        vals = [_exact(v) for v in values]
+        if len(vals) != self.nvars:
+            raise ValueError(f"expected {self.nvars} values, got {len(vals)}")
         top = [max((e[j] for e in self.terms), default=0) for j in range(self.nvars)]
         scaled = [
             [v.numerator**e * v.denominator ** (cap - e) for e in range(cap + 1)]

@@ -313,7 +313,7 @@ def _run_chain(n: int, c0: float, depth: int) -> SequentialResult:
     residual = abs(chance.at_tail(tail)[0] - c0)
     for i in range(1, depth + 1):
         if i > 1:
-            chance.fix(entries[-1].p_i, rest=tail)
+            chance.fix(tail)
             tail, residual, all_negative = _tail_root(chance.at_tail, chance.rest, c0)
             if tail is None:
                 entries.append(SequentialEntry(i, None, NO_REAL_ROOT, residual))
@@ -381,8 +381,10 @@ def find_cne_sequential(
     when the chance stays below ``c0`` with none of the mass, or when the
     complete chain leaves tail mass ``T_n > 0`` over. Bisection stops at
     the first complete chain with ``T_n <= tol``, or when the ``c0``
-    interval is ``1e-16`` wide or no double lies inside it; the best
-    complete chain seen is returned either way.
+    interval is ``1e-16`` wide or no double lies inside it. The answer is
+    the last large midpoint, as for the upper endpoint of :func:`bound_c0`
+    (a complete chain is never too small, so the early stop ends on it);
+    :class:`ClassificationError` is raised if its chain is not complete.
 
     The assembled strategy takes the first ``n - 1`` chain probabilities
     and closes the last one with the remaining mass ``T_{n-1}``, which pins
@@ -393,27 +395,23 @@ def find_cne_sequential(
     chain = functools.cache(lambda c0: _run_chain(n, c0, n))
     walk = _c0_walk(lambda c0: not chain(c0).too_small, 1e-16)
     trace: list[tuple[float, str]] = []
-    best: tuple[float, float, SequentialResult] | None = None  # (sum_error, c0, chain)
     for iterations, (mid, large) in enumerate(walk, 1):
-        run = chain(mid)
-        if run.complete:
-            err = run.tails[-1]
-            if best is None or err < best[0]:
-                best = (err, mid, run)
-            if err <= tol:
-                break
         trace.append((mid, "large" if large else "small"))
-    if best is None:
+        run = chain(mid)
+        if run.complete and run.tails[-1] <= tol:
+            break
+    c0 = min((mid for mid, side in trace if side == "large"), default=None)
+    run = None if c0 is None else chain(c0)
+    if run is None or not run.complete:
         raise ClassificationError(
-            f"bisection on the win value for n={n} never produced a complete "
-            f"chain; the too-small/too-large signal is inconsistent",
+            f"bisection on the win value for n={n} closed at c0={c0} without a "
+            f"complete chain there; the walk has not found the equilibrium",
             trace,
         )
-    sum_error, c0, run = best
     probs = np.array(run.found)
     probs[n - 1] = run.tails[n - 2]
     return SelfConsistentSolution(
-        c_ne=c0, strategy=Strategy(probs), sum_error=sum_error, iterations=iterations
+        c_ne=c0, strategy=Strategy(probs), sum_error=run.tails[-1], iterations=iterations
     )
 
 

@@ -303,8 +303,8 @@ def _scaled_chance(table, weights, log_tail: float) -> tuple[float, float]:
 
 
 def _scaled(probs: np.ndarray, n: int, upto: int, every: bool = False, gradient: bool = False):
-    """``c_upto`` by the Poisson-scaled form, ``c_1..c_upto`` with ``every``,
-    or with ``gradient`` the derivatives of ``c_upto`` in all ``n`` raw
+    """``c_1..c_upto`` by the Poisson-scaled form, only ``c_upto`` filled in
+    unless ``every``, or with ``gradient`` the derivatives of ``c_upto`` in all ``n`` raw
     coordinates. One walk advances the prefix table ``G_j = r_1 * ... * r_j``
     and reads ``c_i`` off ``G_(i-1)`` only at the rows asked for; each
     distinct ``lam_j = N p_j`` builds its row ``r_j`` once per walk. It stops at
@@ -342,7 +342,7 @@ def _scaled(probs: np.ndarray, n: int, upto: int, every: bool = False, gradient:
                 steps.append((row, table))
             table = _convolve(table, row, big_n)
     if not gradient:
-        return values if every else float(values[-1])
+        return values
     grad = np.zeros(n)
     if not table[1][0]:
         return grad
@@ -372,8 +372,8 @@ class PrefixChance:
     nonnegative, so ``c_i`` increases with ``T`` on ``[0, R]``.
     :meth:`at_tail` gives the value and its slope in ``T`` by Horner's rule,
     stable on ``[0, R]`` where every partial sum is nonnegative; a candidate
-    ``p_i`` is evaluated at ``T = R - p_i``. :meth:`fix` appends ``p_i`` and
-    advances the table one step.
+    ``p_i`` is evaluated at ``T = R - p_i``. :meth:`fix` takes the solved
+    ``T``, appends ``p_i = R - T`` and advances the table one step.
     Above ``n = 400`` the Poisson-scaled form is evaluated instead, at
     ``log T``, with the log-weights of the fixed prefix formed once per
     :meth:`fix`.
@@ -402,12 +402,12 @@ class PrefixChance:
             value = value * tail + a
         return value, slope
 
-    def fix(self, p_i: float, rest: float) -> None:
-        """Fix ``p_i`` and move on to the next number, whose remaining mass is
-        ``rest``, the tail mass the caller solved for (no ``1 - sum p``)."""
-        p_i = float(p_i)
+    def fix(self, tail: float) -> None:
+        """Fix ``p_i = rest - tail``; the next number's remaining mass is
+        ``tail``, the tail mass the caller solved for (no ``1 - sum p``)."""
+        p_i = float(self.rest - tail)
         self.prefix.append(p_i)
-        self.rest = rest
+        self.rest = tail
         big_n = self.n - 1
         if self._scaled:
             self._table = _convolve(self._table, _no_unique_row(big_n * p_i), big_n)
@@ -427,11 +427,11 @@ def _chances(probs: np.ndarray, n: int, upto: int, every: bool = False, gradient
     derivatives of ``c_upto``: by the product form up to ``n = 400``, by
     the Poisson-scaled form above it."""
     upto = require_int("i", upto, 1, n)
-    if n > _SCALED_ABOVE:
-        return _scaled(probs, n, upto, every, gradient)
+    scaled = n > _SCALED_ABOVE
     if gradient:
-        return _kernel(probs, n, upto, jacobian=1)[1][0]
-    values = _kernel(probs, n, upto)
+        return _scaled(probs, n, upto, gradient=True) if scaled else _kernel(probs, n, upto, jacobian=1)[1][0]
+    values = _scaled(probs, n, upto, every) if scaled else _kernel(probs, n, upto)
+    values = np.clip(values, 0.0, 1.0)  # rounding can pass 1 by ulps: all mass on 1, n = 500
     return values if every else float(values[-1])
 
 

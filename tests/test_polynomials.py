@@ -1,6 +1,7 @@
 """Exact polynomial layer: operators, identities, and the game polynomials."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -357,6 +358,14 @@ class TestEvaluationAndSerialization:
     def test_float_evaluation(self):
         q = poly(2, {(1, 1): 2})
         assert q.evaluate([0.5, 0.25]) == pytest.approx(0.25)
+        # a float is taken at its exact binary value; a value that is no
+        # finite real number is refused, a string even where it would parse
+        assert q.evaluate([0.1, 1]) == 2 * Fraction(0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                q.evaluate([bad, 0.5])
+        with pytest.raises(TypeError):
+            q.evaluate(["1/2", 0.5])
 
     def test_canonical_text_golden(self):
         q = poly(3, {(0, 1, 1): 2, (2, 0, 0): 1, (0, 0, 1): Fraction(-1, 3)})

@@ -236,10 +236,10 @@ class TestTailRoot:
                 calls += 1
                 return super().at_tail(tail)
 
-            def fix(self, p_i, rest):
+            def fix(self, tail):
                 nonlocal fixed
                 fixed += 1
-                super().fix(p_i, rest)
+                super().fix(tail)
 
         monkeypatch.setattr(lupi.solvers, "PrefixChance", Counted)
         find_cne_sequential(12)
@@ -294,6 +294,27 @@ class TestFindCneSequential:
     def test_tol_validation(self, tol):
         with pytest.raises(ValueError):
             find_cne_sequential(5, tol=tol)
+
+    def test_walk_closing_off_a_complete_chain_raises(self, monkeypatch):
+        # chains complete (leftover 0.4) from c0 = 0.5, large but incomplete
+        # on [0.3, 0.5), too small below: the walk closes on 0.3, where no
+        # chain completes, and the complete chain at 0.5 is no answer
+        def staged(n, c0, depth):
+            if c0 >= 0.5:
+                entries = [SequentialEntry(i, p, "real-root", 0.0) for i, p in ((1, 0.3), (2, 0.3), (3, 0.0))]
+                return SequentialResult(c0, entries, [0.7, 0.4, 0.4])
+            entries = [SequentialEntry(1, 0.3, "real-root", 0.0), SequentialEntry(2, None, "no-real-root", 0.1)]
+            return SequentialResult(c0, entries, [0.7], too_small=c0 < 0.3)
+
+        monkeypatch.setattr(lupi.solvers, "_run_chain", staged)
+        with pytest.raises(ClassificationError) as info:
+            find_cne_sequential(3)
+        assert info.value.trace[0] == (0.5, "large")
+        assert abs(min(mid for mid, side in info.value.trace if side == "large") - 0.3) <= 1e-15
+        # no midpoint reads large: nothing to answer with
+        monkeypatch.setattr(lupi.solvers, "_run_chain", lambda n, c0, depth: staged(n, 0.0, depth))
+        with pytest.raises(ClassificationError):
+            find_cne_sequential(3)
 
 
 class TestBoundC0:

@@ -241,6 +241,16 @@ class TestVector:
         win_prob_vector(Strategy(raw / raw.sum()))
         assert len(lams) == len(set(lams)) == 3
 
+    @pytest.mark.parametrize("n", [401, 500, 2000])
+    def test_point_mass_chances_stay_probabilities(self, n):
+        # with all mass on 1 every later number wins for sure; the scaled
+        # walk rounds c_2 a few ulps past 1 at n = 500, and win_prob gives
+        # the clipped value too, to the bit
+        s = Strategy(np.eye(1, n)[0])
+        v = win_prob_vector(s).values
+        for i in (2, 3, n):
+            assert win_prob(i, s) == v[i - 1] and v[i - 1] <= 1.0
+
     def test_entries_are_probabilities(self):
         rng = np.random.default_rng(29)
         for n in (3, 5, 9):
@@ -336,7 +346,7 @@ class TestGradient:
                 up, dn = s.probs.copy(), s.probs.copy()
                 up[j] += h
                 dn[j] -= h
-                fd = (_scaled(up, n, i) - _scaled(dn, n, i)) / (2 * h)
+                fd = (_scaled(up, n, i)[-1] - _scaled(dn, n, i)[-1]) / (2 * h)
                 assert abs(fd - g[j]) <= h * h * n * n * np.max(np.abs(g))
 
     @pytest.mark.parametrize("n", [2000, 10**4])
@@ -359,7 +369,7 @@ class TestGradient:
 
             chance = PrefixChance(n)
             for j in range(i - 1):
-                chance.fix(s.probs[j], rest=math.fsum([1.0, *(-s.probs[: j + 1])]))
+                chance.fix(math.fsum([1.0, *(-s.probs[: j + 1])]))
             tail = math.fsum([1.0, *(-s.probs[:i])])
             value, at_tail = chance.at_tail(tail)
             # at_tail takes T itself: its log costs N u more than log1p(-S_i)
@@ -498,7 +508,7 @@ class TestProductForm:
             assert win_prob(i, s) == _kernel(s.probs, 40, 40)[i - 1]
         s = Strategy.uniform(10**4)
         for i in (1, 4, 10, 20):
-            assert win_prob(i, s) == _scaled(s.probs, 10**4, i)
+            assert win_prob(i, s) == _scaled(s.probs, 10**4, i)[-1]
 
     @pytest.mark.parametrize("n", [40, 200, 1000])
     def test_scaled_form_agrees_at_moderate_n(self, n):
@@ -509,7 +519,7 @@ class TestProductForm:
             product = _kernel(s.probs, n, 40)  # O(n^3) in full
             for i in (1, 2, 5, 10, 20, 39, 40):
                 tol = 2 * n * n * UNIT_ROUNDOFF + scaled_bound(i, s.probs, n)
-                assert abs(_scaled(s.probs, n, i) - product[i - 1]) <= tol * product[i - 1]
+                assert abs(_scaled(s.probs, n, i)[-1] - product[i - 1]) <= tol * product[i - 1]
 
     @pytest.mark.parametrize("n", [10**4, 10**6])
     def test_error_above_the_size_limit(self, n):
@@ -574,7 +584,7 @@ class TestProductForm:
                 at_tail, slope = chance.at_tail(chance.rest - float(x))
                 assert abs(at_tail - ref) <= tol * ref
                 assert abs(slope - ref_slope) <= tol * ref_slope
-            chance.fix(s.probs[i - 1], rest=math.fsum([1.0, *(-s.probs[:i])]))
+            chance.fix(math.fsum([1.0, *(-s.probs[:i])]))
 
     @pytest.mark.parametrize("n", [401, 500])
     def test_prefix_chance_weights_formed_at_fix(self, n):
@@ -588,7 +598,7 @@ class TestProductForm:
                 log_tail = math.log(tail) if tail > 0.0 else _LOG_ZERO
                 inline = _scaled_chance(chance._table, weights, log_tail)
                 assert [v.hex() for v in chance.at_tail(tail)] == [v.hex() for v in inline]
-            chance.fix(s.probs[i - 1], rest=math.fsum([1.0, *(-s.probs[:i])]))
+            chance.fix(math.fsum([1.0, *(-s.probs[:i])]))
 
     def test_constants_hold_one_binomial_row(self):
         # a view of the last row would keep the whole (n, n) table cached
