@@ -101,7 +101,9 @@ _CACHE_TOL = 1e-12
 
 
 def _cache_key(n: int) -> str:
-    return f"n={n},tol={_CACHE_TOL!r}"
+    # ``start=limit``: solve_ne starts from the Poisson-limit equilibrium, and
+    # its tail digits differ from those of entries solved from uniform play
+    return f"n={n},tol={_CACHE_TOL!r},start=limit"
 
 
 def _load_cache(path: str) -> dict:

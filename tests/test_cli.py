@@ -280,7 +280,7 @@ class TestOutputAndConfig:
         run(capsys, "winprob", "--n", "4", "--strategy", "ne")
         assert cache_file.exists()
         payload = json.loads(cache_file.read_text())
-        key = "n=4,tol=1e-12"
+        key = "n=4,tol=1e-12,start=limit"
         assert key in payload["entries"]
         # poison the cached entry; a cache hit must reproduce the poison
         payload["entries"][key]["probs"] = [0.7, 0.1, 0.1, 0.1]
@@ -302,14 +302,29 @@ class TestOutputAndConfig:
         argv = ("figure", "--which", "fig1", "--n-list", "4")
         _, expected, _ = run(capsys, *argv)
         payload = json.loads(cache_file.read_text())
-        entry = payload["entries"]["n=4,tol=1e-12"]
+        entry = payload["entries"]["n=4,tol=1e-12,start=limit"]
         solved = entry["probs"]
         entry["probs"] = corrupt(solved)
         cache_file.write_text(json.dumps(payload))
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out == expected
-        rewritten = json.loads(cache_file.read_text())["entries"]["n=4,tol=1e-12"]
+        rewritten = json.loads(cache_file.read_text())["entries"]["n=4,tol=1e-12,start=limit"]
         assert rewritten["probs"] == solved
+
+    def test_entry_of_the_uniform_start_ignored(self, capsys, cache_file, tmp_path):
+        # entries stored before the key named the start hold the tail digits
+        # of a solve from uniform play; a warm run must print what a cold one does
+        argv = ("figure", "--which", "fig1", "--n-list", "4")
+        cache_file.write_text(json.dumps({"entries": {"n=4,tol=1e-12": {
+            "n": 4, "tol": 1e-12, "probs": [0.7, 0.1, 0.1, 0.1], "c_ne": 0.3**3,
+        }}}))
+        _, stale, _ = run(capsys, *argv)
+        _, cold, _ = run(capsys, *argv, "--cache-path", str(tmp_path / "cold.json"))
+        _, warm, _ = run(capsys, *argv)
+        assert stale == cold == warm
+        assert set(json.loads(cache_file.read_text())["entries"]) == {
+            "n=4,tol=1e-12", "n=4,tol=1e-12,start=limit"
+        }
 
     def test_cache_read_once_per_run(self, capsys, cache_file, monkeypatch):
         run(capsys, "figure", "--which", "fig1", "--n-list", "3,4,5")
@@ -319,7 +334,7 @@ class TestOutputAndConfig:
         code, _, _ = run(capsys, "figure", "--which", "fig1b", "--n-list", "3,4,5,6")
         assert code == 0 and reads == [str(cache_file)]
         assert set(json.loads(cache_file.read_text())["entries"]) == {
-            f"n={n},tol=1e-12" for n in (3, 4, 5, 6)
+            f"n={n},tol=1e-12,start=limit" for n in (3, 4, 5, 6)
         }
 
     def test_caps_exit_one(self, capsys, cache_file):
