@@ -185,6 +185,9 @@ def solved_ne_strategies(n_list, cache_file: str):
             "residual": solution.residual,
             "iterations": solution.iterations,
         }
+        # the write drops entries under keys this version no longer reads
+        data["entries"] = {k: e for k, e in data["entries"].items()
+                           if isinstance(e, dict) and k == _cache_key(e.get("n"))}
         _store_cache(cache_file, data)
         yield n, probs, solution.c_ne
 

@@ -1,8 +1,9 @@
 """Size caps, the cache location, tolerances, errors and the argument checks.
 
 Exact polynomial expansion and enumeration grow exponentially, so both
-check a player cap first; the Newton equilibrium solve keeps a practical
-one, and the closed-form evaluator, polynomial in ``n``, has none. Each cap
+check a player cap first; the closed-form evaluator and the Newton
+equilibrium solve, polynomial in ``n``, have none (the solve stops only
+where its binomial table would overflow, above ``n = 1000``). Each cap
 comes from its function's argument or the default here, and
 :func:`require_cap` is the one place that compares ``n`` against it. Only
 the cache path reads the environment (``LUPI_CACHE_PATH``).
@@ -16,7 +17,6 @@ from __future__ import annotations
 import os
 
 N_MAX_SYMBOLIC_DEFAULT = 8
-NE_PLAYER_CAP_DEFAULT = 20
 ORACLE_PLAYER_CAP_DEFAULT = 10
 
 # Sum-to-one tolerance of a valid strategy, and the largest deviation that

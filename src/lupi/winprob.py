@@ -43,10 +43,10 @@ from .game import Strategy
 # and the Poisson-scaled walk above it, where the walk is the faster one for
 # the whole vector, a gradient and a sequential chain (BENCH_output_path.json).
 _SCALED_ABOVE = 400
-# Largest n the product form can serve, through _kernel for solve_ne(n_max=)
-# and best_symmetric: its table entries C(m, k) p^k and k C(m, k) p^(k-1),
-# m < n, p <= 1, stay below n 2^n, which is finite in double precision up to
-# n = 1014.
+# Largest n the product form can serve, through _kernel for solve_ne and
+# best_symmetric, and the only size limit of either: its table entries
+# C(m, k) p^k and k C(m, k) p^(k-1), m < n, p <= 1, stay below n 2^n, which
+# is finite in double precision up to n = 1014.
 _PRODUCT_N_MAX = 1000
 # Entries of the step matrices that one _kernel call builds at once, per
 # kind (steps, slopes): 512 KiB of doubles.

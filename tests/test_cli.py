@@ -43,6 +43,13 @@ class TestNe:
         assert code == 1
         assert "n >= 3" in err
 
+    def test_beyond_twenty_players(self, capsys, cache_file):
+        # the Newton solve has no player cap: only the product form's range
+        code, out, _ = run(capsys, "ne", "--n", "21")
+        assert code == 0 and [r.split(",")[0] for r in out.strip().splitlines()[1:]] == [
+            str(i) for i in range(1, 22)
+        ]
+
     def test_nine_players_first_row(self, capsys, cache_file):
         code, out, _ = run(capsys, "ne", "--n", "9")
         assert code == 0
@@ -183,6 +190,11 @@ class TestFigure:
         assert float(rows[0][2]) == pytest.approx(0.4641, abs=1e-4)
         assert float(rows[1][2]) == pytest.approx(0.2679, abs=1e-4)
 
+    def test_fig1_beyond_twenty_players(self, capsys, cache_file):
+        code, out, _ = run(capsys, "figure", "--which", "fig1", "--n-list", "21,25")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["21"] * 21 + ["25"] * 25
+
     def test_fig1b_scaling(self, capsys, cache_file):
         code, out, _ = run(capsys, "figure", "--which", "fig1b", "--n-list", "3")
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
@@ -322,9 +334,8 @@ class TestOutputAndConfig:
         _, cold, _ = run(capsys, *argv, "--cache-path", str(tmp_path / "cold.json"))
         _, warm, _ = run(capsys, *argv)
         assert stale == cold == warm
-        assert set(json.loads(cache_file.read_text())["entries"]) == {
-            "n=4,tol=1e-12", "n=4,tol=1e-12,start=limit"
-        }
+        # the miss written by the first run drops the entry no key reads
+        assert set(json.loads(cache_file.read_text())["entries"]) == {"n=4,tol=1e-12,start=limit"}
 
     def test_cache_read_once_per_run(self, capsys, cache_file, monkeypatch):
         run(capsys, "figure", "--which", "fig1", "--n-list", "3,4,5")
@@ -338,10 +349,12 @@ class TestOutputAndConfig:
         }
 
     def test_caps_exit_one(self, capsys, cache_file):
-        # only the caps on work that really grows stay: the Newton solve's
-        # player cap exits 1 and names it, while the closed form serves any n
-        code, out, err = run(capsys, "ne", "--n", "21")
-        assert code == 1 and out == "" and "cap n=20" in err
+        # only the caps on work that really grows, or on what a double can
+        # hold, stay: the Newton solve stops at the product form's binomial
+        # table and names it, while the closed form serves any n
+        code, out, err = run(capsys, "ne", "--n", "1001")
+        assert code == 1 and out == "" and err.startswith("error:") and "cap n=1000" in err
+        assert len(err.strip().splitlines()) == 1
         code, out, _ = run(capsys, "winprob", "--n", "1500", "--strategy", "uniform")
         assert code == 0 and len(out.strip().splitlines()) == 1501
         code, out, _ = run(capsys, "winprob", "--n", "30", "--strategy", "uniform")

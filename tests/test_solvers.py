@@ -94,10 +94,16 @@ class TestSolveNE:
         with pytest.raises(ValueError):
             solve_ne(2)
         with pytest.raises(ResourceLimitError):
-            solve_ne(25)
+            solve_ne(1001)
         for kwargs in ({"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1.0}, {"max_iter": -3}):
             with pytest.raises(ValueError):
                 solve_ne(5, **kwargs)
+
+    def test_range_refused_before_the_start(self, monkeypatch):
+        # the O(n) start is never built for an n the kernel cannot serve
+        monkeypatch.setattr(lupi.solvers, "_limit_start", lambda n: pytest.fail("start built"))
+        with pytest.raises(ResourceLimitError, match="cap n=1000"):
+            solve_ne(10**9)
 
     def test_iteration_counts_are_pinned(self):
         # every Newton iterate rests on the kernel's values and Jacobian to
@@ -113,7 +119,7 @@ class TestSolveNE:
     def test_gap_to_the_limit_value(self, n):
         # the limit's value is 1/n; the finite game's lies about 1/n^2 below
         # it (measured 1.151, 1.148, 1.124 and 1.082 in these units)
-        c_ne = solve_ne(n, n_max=n).c_ne
+        c_ne = solve_ne(n).c_ne
         assert 1.0 <= n * (1.0 / n - c_ne) / c_ne <= 1.2
 
     def test_nonconvergence_reported_not_raised(self):
@@ -292,7 +298,7 @@ class TestFindCneSequential:
         # the chain carries tail masses, so its remaining mass, 1e-13 and
         # less at these n, does not drown in the rounding of 1 - sum p
         found = find_cne_sequential(n, tol=1e-13)
-        newton = solve_ne(n, n_max=1000)
+        newton = solve_ne(n)
         assert newton.converged
         assert abs(found.c_ne - newton.c_ne) <= 1e-12
 
@@ -509,7 +515,6 @@ class TestSizeCaps:
     # each call at n one above its default cap, where an unchecked cap would
     # still finish quickly: a cap that is not an integer must not switch it off
     CALLS = [
-        pytest.param("n_max", lambda cap: solve_ne(21, n_max=cap), id="solve_ne"),
         pytest.param("max_players", lambda cap: exact_win_prob(1, Strategy.uniform(11), max_players=cap),
                      id="exact_win_prob"),
         pytest.param("limit", lambda cap: opponents_outcome_poly(9, limit=cap), id="opponents_outcome_poly"),
