@@ -259,7 +259,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .oracle import simulate
 
     pi, p = resolve_strategy(args.pi, args), resolve_strategy(args.p, args)
-    _emit(args, simulate(pi, p, args.rounds, args.seed, shards=args.shards).to_json_obj())
+    _emit(args, simulate(pi, p, args.rounds, args.seed).to_json_obj())
     return EXIT_OK
 
 
@@ -417,7 +417,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--p", required=True, help="opponents' strategy source")
     p_sim.add_argument("--rounds", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--shards", type=int, default=1)
     p_sim.set_defaults(func=cmd_simulate, forms=("json",))
 
     p_pay = sub.add_parser("payoff", parents=[common],

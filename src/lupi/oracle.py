@@ -15,7 +15,7 @@ powers and sums the terms.
 
 The simulation route actually plays the game. Randomness comes from the
 counter-based Philox 4x64 generator with 10 rounds, keyed by the 128-bit
-pair ``(seed, shard_index)``; uniform doubles are the generator's 53-bit
+pair ``(seed, 0)``; uniform doubles are the generator's 53-bit
 variates, consumed round-major as one ``(rounds, n)`` matrix per block
 (opponent columns first, the observed player last). A pick is the inverse
 CDF of the strategy on right-closed intervals: with ``u`` uniform on
@@ -23,13 +23,13 @@ CDF of the strategy on right-closed intervals: with ``u`` uniform on
 ``k`` whose cumulative probability is ``>= v``, so zero-probability numbers
 are never picked.
 
-A shard's rounds are cut into contiguous spans, at most one per usable CPU,
-and the spans run on threads (numpy releases the GIL in the Philox fill and
-in the ufuncs). Philox is counter-based, so a span starting at round ``r``
-enters its shard's stream directly at counter ``r * n / 4`` and draws
-exactly what one pass over the whole shard would. Everything downstream is
-integer counting, summed over spans, so every count and estimate depends on
-``(seed, shards)`` alone, not on the CPU count, the spans or the blocks.
+The rounds are cut into contiguous spans, at most one per usable CPU, and
+each span runs on its own thread (numpy releases the GIL in the Philox fill
+and in the ufuncs). Philox is counter-based, so a span starting at round
+``r`` enters the stream directly at counter ``r * n / 4`` and draws exactly
+what one pass over all rounds would. Everything downstream is integer
+counting, summed over spans, so every count and estimate depends on the
+seed alone, not on the CPU count, the spans or the blocks.
 
 Up to ``n = 64`` a pick is the count of ``k < n - 1`` with ``cum_k < v``,
 and the winner is the lowest bit of a ``uint64`` mask of the numbers picked
@@ -82,7 +82,6 @@ class SimulationStats:
     est_ci: list[float | None]
     std_err: list[float | None]
     seed: int
-    shards: int
     generator: str
     w_estimate: float
     w_std_err: float
@@ -203,37 +202,32 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _spans(rounds: int, shards: int, cpus: int) -> list[tuple[int, int, int]]:
-    """``(shard, first_round, span_rounds)`` for every span of the run.
+def _spans(rounds: int, cpus: int) -> list[tuple[int, int]]:
+    """``(first_round, span_rounds)`` for every span of the run.
 
-    Only the first ``min(shards, rounds)`` shards get rounds. A shard is cut
-    into at most ``cpus`` contiguous spans of about ``_MIN_SPAN_ROUNDS``
-    rounds or more, each starting at a multiple of 4 rounds.
+    The rounds are cut into at most ``cpus`` contiguous spans of about
+    ``_MIN_SPAN_ROUNDS`` rounds or more, each starting at a multiple of 4
+    rounds; a run shorter than two minimum spans is one span.
     """
-    base_rounds, extra = divmod(rounds, shards)
-    spans = []
-    for shard in range(min(shards, rounds)):
-        shard_rounds = base_rounds + (1 if shard < extra else 0)
-        cuts = max(1, min(cpus, shard_rounds // _MIN_SPAN_ROUNDS))
-        starts = [4 * (shard_rounds * j // (4 * cuts)) for j in range(cuts)] + [shard_rounds]
-        spans += [(shard, a, b - a) for a, b in zip(starts, starts[1:])]
-    return spans
+    cuts = max(1, min(cpus, rounds // _MIN_SPAN_ROUNDS))
+    starts = [4 * (rounds * j // (4 * cuts)) for j in range(cuts)] + [rounds]
+    return [(a, b - a) for a, b in zip(starts, starts[1:])]
 
 
 def _span_counts(
-    cum_p: np.ndarray, cum_pi: np.ndarray, seed: int, shard: int, first_round: int, span_rounds: int
+    cum_p: np.ndarray, cum_pi: np.ndarray, seed: int, first_round: int, span_rounds: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-number pick and win counts of the observed player over one span.
 
     The span's draws start at round ``first_round`` of the Philox stream
-    keyed ``(seed, shard)``: each double takes one uint64 and each counter
+    keyed ``(seed, 0)``: each double takes one uint64 and each counter
     step gives four, so with ``first_round`` a multiple of 4 the stream is
     entered at counter ``first_round * n / 4``. Every block writes its
     draws, picks and scratch arrays into buffers made once per span, a
     short last block into the front of each.
     """
     n = cum_p.size
-    key = np.array([seed, shard], dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key, counter=first_round * n // 4))
     chosen_counts = np.zeros(n, dtype=np.int64)
     win_counts = np.zeros(n, dtype=np.int64)
@@ -267,24 +261,23 @@ def _span_counts(
     return chosen_counts, win_counts
 
 
-def _in_threads(run, jobs: list[tuple], workers: int) -> list:
-    """``[run(*job) for job in jobs]`` on ``workers`` threads.
+def _in_threads(run, jobs: list[tuple]) -> list:
+    """``[run(*job) for job in jobs]``, one thread per job.
 
-    The calling thread is one of them and only ``workers - 1`` are started;
-    thread ``t`` takes every ``workers``-th job from job ``t``. An exception
-    in any thread is raised here once all have finished.
+    The calling thread runs the first job and only ``len(jobs) - 1`` threads
+    are started. An exception in any thread is raised here once all have
+    finished.
     """
     results: list = [None] * len(jobs)
     errors: list[BaseException] = []
 
-    def work(t: int) -> None:
+    def work(j: int) -> None:
         try:
-            for j in range(t, len(jobs), workers):
-                results[j] = run(*jobs[j])
+            results[j] = run(*jobs[j])
         except BaseException as exc:  # raised again on the calling thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(1, workers)]
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(1, len(jobs))]
     for thread in threads:
         thread.start()
     work(0)
@@ -295,31 +288,21 @@ def _in_threads(run, jobs: list[tuple], workers: int) -> list:
     return results
 
 
-def simulate(
-    pi: Strategy,
-    p: Strategy,
-    rounds: int,
-    seed: int,
-    *,
-    shards: int = 1,
-) -> SimulationStats:
+def simulate(pi: Strategy, p: Strategy, rounds: int, seed: int) -> SimulationStats:
     """Play ``rounds`` games: ``n - 1`` opponents on ``p``, observed player on ``pi``.
 
-    Fully reproducible from ``(seed, shards)``. Rounds are split across
-    shards as evenly as possible (earlier shards take the remainder); shard
-    ``s`` draws from its own Philox stream keyed ``(seed, s)``. Each shard's
-    rounds are cut into contiguous spans, at most one per usable CPU, that
-    run on threads; a span enters its shard's stream at its first round's
-    Philox counter, so the result is the same for any CPU count. A run
-    shorter than ``2 * _MIN_SPAN_ROUNDS`` rounds stays on the calling
-    thread.
+    Fully reproducible from ``seed``: every round draws from the one
+    Philox stream keyed ``(seed, 0)``. The rounds are cut into contiguous
+    spans, at most one per usable CPU, each on its own thread; a span
+    enters the stream at its first round's Philox counter, so the result is
+    the same for any CPU count. A run shorter than ``2 * _MIN_SPAN_ROUNDS``
+    rounds stays on the calling thread.
 
     Args:
         pi: Strategy of the observed player.
         p: Strategy of the other ``n - 1`` players.
         rounds: Number of independent games, at least 1.
         seed: 64-bit stream key.
-        shards: Number of independent substreams.
 
     Returns:
         A :class:`SimulationStats` with per-number conditional win
@@ -328,7 +311,6 @@ def simulate(
     if pi.n != p.n:
         raise ValueError(f"strategies disagree on n: {pi.n} vs {p.n}")
     rounds = require_int("rounds", rounds, 1)
-    shards = require_int("shards", shards, 1)
     seed = require_int("seed", seed, 0, 2**64 - 1)
     n = p.n
 
@@ -336,11 +318,8 @@ def simulate(
     cum_pi = np.cumsum(pi.probs)
     cum_p[-1] = cum_pi[-1] = 1.0  # close the last interval exactly
 
-    cpus = _usable_cpus()
-    spans = _spans(rounds, shards, cpus)
-    # a run too small for two minimum spans stays on the calling thread
-    workers = max(1, min(cpus, len(spans), rounds // _MIN_SPAN_ROUNDS))
-    parts = _in_threads(functools.partial(_span_counts, cum_p, cum_pi, seed), spans, workers)
+    spans = _spans(rounds, _usable_cpus())
+    parts = _in_threads(functools.partial(_span_counts, cum_p, cum_pi, seed), spans)
     # integer sums: the same counts in any order, for any CPU count
     chosen_counts = sum(chosen for chosen, _ in parts)
     win_counts = sum(wins for _, wins in parts)
@@ -363,7 +342,6 @@ def simulate(
         est_ci=est,
         std_err=err,
         seed=seed,
-        shards=shards,
         generator=GENERATOR_NAME,
         w_estimate=float(w),
         w_std_err=float(math.sqrt(w * (1.0 - w) / rounds)),

@@ -589,7 +589,9 @@ def best_symmetric(
     n = require_int("n", n, 3)
     restarts = require_int("restarts", restarts, 0)
     max_steps = require_int("max_steps", max_steps, 0)
-    rng = np.random.default_rng(require_int("seed", seed, 0))
+    seed = require_int("seed", seed, 0)
+    _product_constants(n)  # refuses n above the product form's range before the starts are built
+    rng = np.random.default_rng(seed)
     starts = [np.full(n, 1.0 / n)]
     for _ in range(restarts):
         raw = rng.random(n) + 0.1

@@ -265,6 +265,7 @@ class TestBadInput:
         "sequential --n 5 --c0 0.2 --depth 9",
         "figure --which fig2a --n-list 3 --format json",
         "simulate --n 3 --pi uniform --p uniform --rounds 10 --format csv",
+        "simulate --n 3 --pi uniform --p uniform --rounds 10 --shards 2",
         "ne --n 3 --output .",
         "winprob --n 4 --strategy ne --cache-path nan.txt/c.json",
     ])
@@ -353,6 +354,9 @@ class TestOutputAndConfig:
         # hold, stay: the Newton solve stops at the product form's binomial
         # table and names it, while the closed form serves any n
         code, out, err = run(capsys, "ne", "--n", "1001")
+        assert code == 1 and out == "" and err.startswith("error:") and "cap n=1000" in err
+        assert len(err.strip().splitlines()) == 1
+        code, out, err = run(capsys, "bestsym", "--n", "1001")
         assert code == 1 and out == "" and err.startswith("error:") and "cap n=1000" in err
         assert len(err.strip().splitlines()) == 1
         code, out, _ = run(capsys, "winprob", "--n", "1500", "--strategy", "uniform")

@@ -110,13 +110,13 @@ def sparse_and_uniform(n):
 
 @pytest.fixture
 def thread_calls(monkeypatch):
-    """``(spans, workers)`` of every run the simulator hands to its threads."""
+    """Span count of every run the simulator hands to its threads."""
     calls = []
     in_threads = oracle._in_threads
 
-    def spy(run, jobs, workers):
-        calls.append((len(jobs), workers))
-        return in_threads(run, jobs, workers)
+    def spy(run, jobs):
+        calls.append(len(jobs))
+        return in_threads(run, jobs)
 
     monkeypatch.setattr(oracle, "_in_threads", spy)
     return calls
@@ -281,30 +281,29 @@ class TestSimulate:
     @pytest.mark.parametrize("n", [5, 12])
     def test_block_size_changes_no_count(self, n, monkeypatch):
         # draws are consumed round-major, so an odd block size that splits
-        # every shard unevenly reproduces every count
+        # the run unevenly reproduces every count
         s = Strategy.uniform(n)
-        default = simulate(s, s, 100_001, seed=31, shards=3).to_json_obj()
+        default = simulate(s, s, 100_001, seed=31).to_json_obj()
         monkeypatch.setattr(oracle, "_BLOCK_ROUNDS", 4097)
-        assert simulate(s, s, 100_001, seed=31, shards=3).to_json_obj() == default
+        assert simulate(s, s, 100_001, seed=31).to_json_obj() == default
 
     @pytest.mark.parametrize("n", [5, 64, 65])
     def test_span_enters_stream_by_counter(self, n):
         # a span started at round r by its Philox counter counts what the
-        # game rule gives on rows r: of the whole shard stream replayed by hand
+        # game rule gives on rows r: of the whole stream replayed by hand
         p, pi = sparse_and_uniform(n)
         cum_p, cum_pi = np.cumsum(p.probs), np.cumsum(pi.probs)
         cum_p[-1] = cum_pi[-1] = 1.0
-        seed, shard, first, count = 2024, 2, 4 * 257, 1000
-        chosen, wins = oracle._span_counts(cum_p, cum_pi, seed, shard, first, count)
-        key = np.array([seed, shard], dtype=np.uint64)
+        seed, first, count = 2024, 4 * 257, 1000
+        chosen, wins = oracle._span_counts(cum_p, cum_pi, seed, first, count)
+        key = np.array([seed, 0], dtype=np.uint64)
         u = np.random.Generator(np.random.Philox(key=key)).random((first + count, n))[first:]
         assert (chosen.tolist(), wins.tolist()) == replay_counts(u, cum_p, cum_pi)
         assert sum(wins) > 0
 
-    @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("n", [5, 12, 64, 65])
-    def test_span_split_changes_no_count(self, n, shards, monkeypatch, thread_calls):
-        # three fake CPUs and 64-round minimum spans cut every shard in three,
+    def test_span_split_changes_no_count(self, n, monkeypatch, thread_calls):
+        # three fake CPUs and 64-round minimum spans cut the run in three,
         # at offsets the odd 4097-round blocks do not align with; the summed
         # counts equal those of the same run on the calling thread alone
         p, pi = sparse_and_uniform(n)
@@ -312,41 +311,41 @@ class TestSimulate:
         monkeypatch.setattr(oracle, "_BLOCK_ROUNDS", 4097)
         monkeypatch.setattr(oracle, "_BLOCK_DRAWS", 4097 * n)
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
-        unsplit = simulate(pi, p, rounds, seed=47, shards=shards).to_json_obj()
+        unsplit = simulate(pi, p, rounds, seed=47).to_json_obj()
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(oracle, "_MIN_SPAN_ROUNDS", 64)
-        assert simulate(pi, p, rounds, seed=47, shards=shards).to_json_obj() == unsplit
-        assert thread_calls == [(shards, 1), (3 * shards, 3)]
+        assert simulate(pi, p, rounds, seed=47).to_json_obj() == unsplit
+        assert thread_calls == [1, 3]
 
     def test_many_threads_switching_often(self, monkeypatch, thread_calls):
         # more threads than cores, forced to trade the interpreter lock every
         # microsecond: a lost or doubled span would move a count
         u = Strategy.uniform(5)
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
-        reference = simulate(u, u, 20_003, seed=11, shards=5).to_json_obj()
+        reference = simulate(u, u, 20_003, seed=11).to_json_obj()
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(oracle, "_MIN_SPAN_ROUNDS", 4)
         interval = sys.getswitchinterval()
         start = time.perf_counter()
         try:
             sys.setswitchinterval(1e-6)
-            stats = simulate(u, u, 20_003, seed=11, shards=5)
+            stats = simulate(u, u, 20_003, seed=11)
         finally:
             sys.setswitchinterval(interval)
         assert time.perf_counter() - start < 60.0
         assert stats.to_json_obj() == reference
-        assert thread_calls == [(5, 1), (40, 8)]
+        assert thread_calls == [1, 8]
 
     def test_thread_error_reaches_caller(self):
-        # job 3 of 6 on 4 threads runs on a started thread, not the caller's
+        # job 3 of 6 runs on a started thread, not the caller's
         def run(j):
             if j == 3:
                 raise ValueError("job 3")
             return j
 
         with pytest.raises(ValueError, match="job 3"):
-            oracle._in_threads(run, [(j,) for j in range(6)], 4)
-        assert oracle._in_threads(lambda j: j, [(j,) for j in range(6)], 4) == list(range(6))
+            oracle._in_threads(run, [(j,) for j in range(6)])
+        assert oracle._in_threads(lambda j: j, [(j,) for j in range(6)]) == list(range(6))
 
     def test_short_run_starts_no_thread(self, monkeypatch, thread_calls):
         # with eight CPUs, a run shorter than two minimum spans stays on the
@@ -356,15 +355,7 @@ class TestSimulate:
         two_spans = 2 * oracle._MIN_SPAN_ROUNDS
         simulate(u, u, two_spans - 1, seed=3)
         simulate(u, u, two_spans, seed=3)
-        assert thread_calls == [(1, 1), (2, 2)]
-
-    def test_empty_shards_skipped(self):
-        # only the first min(shards, rounds) shards get a round, and shard s
-        # draws from the stream keyed (seed, s) whatever the shard count
-        u = Strategy.uniform(5)
-        many = simulate(u, u, 10, seed=1, shards=10**9)
-        assert many.win_counts == simulate(u, u, 10, seed=1, shards=10).win_counts
-        assert many.shards == 10**9
+        assert thread_calls == [1, 2]
 
     def test_golden_win_counts(self):
         # pinned counts of two seeded runs: a change to the random stream,
@@ -374,8 +365,8 @@ class TestSimulate:
             6378, 3877, 2495, 1473, 910, 589, 390, 242, 145, 90, 55, 26
         ]
         s = Strategy([Fraction(2, 5), Fraction(3, 10), Fraction(0), Fraction(1, 5), Fraction(1, 10)])
-        stats = simulate(s, s, 100_000, seed=7, shards=3)
-        assert stats.win_counts == [5187, 5940, 0, 3379, 1846]
+        stats = simulate(s, s, 100_000, seed=7)
+        assert stats.win_counts == [5283, 5862, 0, 3373, 1737]
 
     def test_bitwise_reproducible(self):
         u = Strategy.uniform(3)
@@ -385,8 +376,7 @@ class TestSimulate:
 
     def test_shard_structure_reported(self):
         u = Strategy.uniform(3)
-        stats = simulate(u, u, 10_000, seed=5, shards=4)
-        assert stats.shards == 4
+        stats = simulate(u, u, 10_000, seed=5)
         assert stats.generator == GENERATOR_NAME
         assert stats.seed == 5
 
@@ -439,7 +429,6 @@ class TestSimulate:
             "est_ci",
             "std_err",
             "seed",
-            "shards",
             "generator",
             "w_estimate",
             "w_std_err",
@@ -453,13 +442,13 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(u, u, 10, seed=-1)
         with pytest.raises(ValueError):
-            simulate(u, u, 10, seed=1, shards=0)
-        with pytest.raises(ValueError):
             simulate(u, Strategy.uniform(4), 10, seed=1)
         with pytest.raises(ValueError):
             simulate(u, u, 10.5, seed=1)
+        with pytest.raises(TypeError):  # one stream per seed: no shard count
+            simulate(u, u, 10, seed=1, shards=1)
         # integral floats are accepted and reported as ints
-        reference = simulate(u, u, 1000, seed=1, shards=2).to_json_obj()
-        stats = simulate(u, u, 1000.0, seed=1.0, shards=2.0)
+        reference = simulate(u, u, 1000, seed=1).to_json_obj()
+        stats = simulate(u, u, 1000.0, seed=1.0)
         assert stats.to_json_obj() == reference
-        assert all(type(v) is int for v in (stats.rounds, stats.seed, stats.shards))
+        assert all(type(v) is int for v in (stats.rounds, stats.seed))

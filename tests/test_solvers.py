@@ -115,10 +115,10 @@ class TestSolveNE:
         # y - log y tends to 1, so the limit's entries sum to (n - 1)/(n - 1)
         assert abs(math.fsum(_limit_start(n)) - 1.0) <= 8 * np.finfo(float).eps
 
-    @pytest.mark.parametrize("n", [12, 20, 40, 100])
+    @pytest.mark.parametrize("n", [12, 20, 40, 100, 150])
     def test_gap_to_the_limit_value(self, n):
         # the limit's value is 1/n; the finite game's lies about 1/n^2 below
-        # it (measured 1.151, 1.148, 1.124 and 1.082 in these units)
+        # it (measured 1.151, 1.148, 1.124, 1.082 and 1.066 in these units)
         c_ne = solve_ne(n).c_ne
         assert 1.0 <= n * (1.0 / n - c_ne) / c_ne <= 1.2
 
@@ -445,6 +445,13 @@ class TestBestSymmetric:
         for kwargs in ({"restarts": -1}, {"max_steps": -1}, {"seed": -1}, {"seed": 1.5}, {"seed": math.nan}):
             with pytest.raises(ValueError):
                 best_symmetric(5, **kwargs)
+
+    def test_range_refused_before_the_starts(self, monkeypatch):
+        # the restarts + 1 O(n) starts are never built for an n the kernel
+        # cannot serve
+        monkeypatch.setattr(lupi.solvers.np.random, "default_rng", lambda seed: pytest.fail("starts built"))
+        with pytest.raises(ResourceLimitError, match="cap n=1000"):
+            best_symmetric(10**9)
 
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_work_count(self, n, monkeypatch):
