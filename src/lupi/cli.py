@@ -211,6 +211,12 @@ def resolve_strategy(source: str, args: argparse.Namespace) -> Strategy:
     return strategy
 
 
+def _resolve_pi_and_p(args: argparse.Namespace) -> tuple[Strategy, Strategy]:
+    """The ``--pi`` and ``--p`` strategies; a source named twice is read once."""
+    pi = resolve_strategy(args.pi, args)
+    return pi, pi if args.p == args.pi else resolve_strategy(args.p, args)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -258,7 +264,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .oracle import simulate
 
-    pi, p = resolve_strategy(args.pi, args), resolve_strategy(args.p, args)
+    pi, p = _resolve_pi_and_p(args)
     _emit(args, simulate(pi, p, args.rounds, args.seed).to_json_obj())
     return EXIT_OK
 
@@ -266,7 +272,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_payoff(args: argparse.Namespace) -> int:
     from .winprob import expected_payoff
 
-    pi, p = resolve_strategy(args.pi, args), resolve_strategy(args.p, args)
+    pi, p = _resolve_pi_and_p(args)
     report = expected_payoff(pi, p)
     rows = [
         [i + 1, float(c), float(q), float(c * q)]
@@ -350,7 +356,8 @@ def _figure_traces(args: argparse.Namespace) -> list[list[object]]:
     from .winprob import PrefixChance
 
     n, points = args.n, require_int("--points", args.points, 1)
-    result = sequential_solve(n, args.c0, args.depth)
+    depth = min(4, n) if args.depth is None else args.depth
+    result = sequential_solve(n, args.c0, depth)
     rows: list[list[object]] = []
     chance = PrefixChance(n)
     for entry in result.entries:
@@ -446,7 +453,7 @@ def build_parser() -> _Parser:
     p_fig.add_argument("--n-list", default=None, help="comma-separated player counts")
     p_fig.add_argument("--n", type=int, default=None, help="player count (fig3)")
     p_fig.add_argument("--c0", type=float, default=None, help="target win value (fig3)")
-    p_fig.add_argument("--depth", type=int, default=4, help="chain depth (fig3)")
+    p_fig.add_argument("--depth", type=int, default=None, help="chain depth (fig3; default min(4, n))")
     p_fig.add_argument("--points", type=int, default=256, help="grid points per trace (fig3)")
     p_fig.set_defaults(func=cmd_figure, forms=("csv",))
 

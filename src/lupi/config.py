@@ -1,12 +1,9 @@
-"""Size caps, the cache location, tolerances, errors and the argument checks.
+"""The cache location, tolerances, errors and the argument checks.
 
-Exact polynomial expansion and enumeration grow exponentially, so both
-check a player cap first; the closed-form evaluator and the Newton
-equilibrium solve, polynomial in ``n``, have none (the solve stops only
-where its binomial table would overflow, above ``n = 1000``). Each cap
-comes from its function's argument or the default here, and
-:func:`require_cap` is the one place that compares ``n`` against it. Only
-the cache path reads the environment (``LUPI_CACHE_PATH``).
+Size caps stand only before exponential work (polynomial expansion,
+enumeration) and the product form's binomial table, each a constant of the
+one module it guards; :func:`require_cap` is the one place that compares
+``n`` against it. Only the cache path reads the environment (``LUPI_CACHE_PATH``).
 
 This module imports no numpy, so the command-line front end can read a
 warm cache and report errors without loading it.
@@ -15,9 +12,6 @@ warm cache and report errors without loading it.
 from __future__ import annotations
 
 import os
-
-N_MAX_SYMBOLIC_DEFAULT = 8
-ORACLE_PLAYER_CAP_DEFAULT = 10
 
 # Sum-to-one tolerance of a valid strategy, and the largest deviation that
 # constructors silently repair by renormalizing. Anything worse is rejected:
@@ -59,15 +53,8 @@ def require_int(name: str, value, lo: int, hi: int | None = None) -> int:
     return as_int
 
 
-def require_cap(n: int, name: str, cap, default: int, cost: str) -> None:
-    """Refuse ``n`` above the size cap: ``cap``, or ``default`` when it is None.
-
-    A cap is an integer argument like any other, checked by
-    :func:`require_int` under ``name``, so NaN, infinity or a fraction
-    raises ``ValueError`` instead of switching the cap off. ``n`` above it
-    raises :class:`ResourceLimitError` naming ``cost``.
-    """
-    limit = default if cap is None else require_int(name, cap, 1)
+def require_cap(n: int, limit: int, cost: str) -> None:
+    """Refuse ``n`` above the size cap ``limit`` with :class:`ResourceLimitError`."""
     if n > limit:
         raise ResourceLimitError(f"{cost} for n={n} is above the cap n={limit}")
 

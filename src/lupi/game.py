@@ -152,6 +152,9 @@ class Strategy:
         n = require_int("n", n, 3)
         if count != n:
             raise ValueError(f"strategy JSON claims n={n} but has {count} entries")
+        # float() would read a string or a boolean, and a huge integer overflows it
+        if not all(isinstance(v, float) or type(v) is int and 0 <= v <= 1 for v in probs):
+            raise ValueError("strategy JSON entries must be numbers in [0, 1]")
         return cls(probs)
 
     @classmethod

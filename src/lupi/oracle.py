@@ -47,10 +47,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import ORACLE_PLAYER_CAP_DEFAULT, require_cap, require_int
+from .config import require_cap, require_int
 from .game import Strategy
 
 GENERATOR_NAME = "philox4x64-10"
+_N_MAX = 10  # largest n enumerated: C(2n-2, n-1) occupancy vectors, 48,620 at n = 10
 
 # Rounds are simulated in blocks inside each span, of at most _BLOCK_ROUNDS
 # rounds and _BLOCK_DRAWS uniforms: 2^13 rounds up to n = 16, 2^11 at
@@ -90,7 +91,7 @@ class SimulationStats:
         return asdict(self)
 
 
-def exact_win_prob(i: int, p: Strategy, *, max_players: int | None = None) -> float:
+def exact_win_prob(i: int, p: Strategy) -> float:
     """Win chance with number ``i`` by direct enumeration.
 
     Sums ``multinomial(n-1; k) * prod p_j^k_j`` over all occupancy vectors
@@ -101,7 +102,7 @@ def exact_win_prob(i: int, p: Strategy, *, max_players: int | None = None) -> fl
     evaluator.
     """
     n = p.n
-    require_cap(n, "max_players", max_players, ORACLE_PLAYER_CAP_DEFAULT, "enumeration")
+    require_cap(n, _N_MAX, "enumeration")
     i = require_int("i", i, 1, n)
     counts, ways = _win_rows(n)[i - 1]
     # every term is (ways * p_1^k_1 * ... * p_(n-1)^k_(n-1)) * p_n^k_n, left

@@ -22,8 +22,7 @@ wins at a number <= k" outcome, and eliminating ``p_i`` from the result
 gives the exact polynomial for the chance of winning with number ``i``.
 
 Expansion size grows like the central binomial coefficient, so builders
-refuse ``n`` above a cap (default 8, raised by their ``limit=`` argument);
-larger games belong to the closed-form evaluator.
+refuse ``n`` above 8; larger games belong to the closed-form evaluator.
 """
 
 from __future__ import annotations
@@ -34,9 +33,10 @@ from fractions import Fraction
 from math import factorial, isfinite, lcm, prod
 from typing import Iterable, Iterator, Mapping
 
-from .config import N_MAX_SYMBOLIC_DEFAULT, require_cap, require_int
+from .config import require_cap, require_int
 
 Exponents = tuple[int, ...]
+_N_MAX = 8  # largest n expanded: C(2n-2, n-1) outcome terms, 3,432 at n = 8
 
 
 def _exact(v) -> Fraction:
@@ -275,21 +275,21 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def opponents_outcome_poly(n: int, *, limit: int | None = None) -> SparsePolynomial:
+def opponents_outcome_poly(n: int) -> SparsePolynomial:
     """Fully expanded ``(p_1 + ... + p_n)^(n-1)``.
 
     Each term is one multiset of picks the ``n - 1`` opponents can produce,
     weighted by its multinomial count; the coefficients sum to ``n^(n-1)``.
     The terms are built once per ``n``; every call returns its own copy.
     """
-    n, terms = _capped_outcome_terms(n, limit)
+    n, terms = _capped_outcome_terms(n)
     return SparsePolynomial._of_clean_terms(n, dict(terms))
 
 
-def _capped_outcome_terms(n: int, limit: int | None) -> tuple[int, dict[Exponents, Fraction]]:
+def _capped_outcome_terms(n: int) -> tuple[int, dict[Exponents, Fraction]]:
     """``n`` as an int and its cached outcome terms, once ``n`` passes the cap."""
     n = require_int("n", n, 3)
-    require_cap(n, "limit", limit, N_MAX_SYMBOLIC_DEFAULT, "symbolic expansion")
+    require_cap(n, _N_MAX, "symbolic expansion")
     return n, _outcome_terms(n)
 
 
@@ -306,21 +306,21 @@ def _outcome_terms(n: int) -> dict[Exponents, Fraction]:
     return terms
 
 
-def no_winner_poly(n: int, k: int, *, limit: int | None = None) -> SparsePolynomial:
+def no_winner_poly(n: int, k: int) -> SparsePolynomial:
     """Outcome polynomial with every "winner at a number <= k" term removed.
 
     Built by the recursion that subtracts the linear-in-``p_i`` part index by
     index; after step ``i`` no surviving term is linear in ``p_1..p_i``.
     ``k = 0`` returns the raw outcome polynomial.
     """
-    q = opponents_outcome_poly(n, limit=limit)
+    q = opponents_outcome_poly(n)
     k = require_int("k", k, 0, q.nvars)
     for i in range(1, k + 1):
         q = q - project_linear(q, i)
     return q
 
 
-def no_winner_poly_by_subsets(n: int, k: int, *, limit: int | None = None) -> SparsePolynomial:
+def no_winner_poly_by_subsets(n: int, k: int) -> SparsePolynomial:
     """Same polynomial as :func:`no_winner_poly`, built the other way.
 
     Expands the product of ``(1 - projection)`` factors by
@@ -328,7 +328,7 @@ def no_winner_poly_by_subsets(n: int, k: int, *, limit: int | None = None) -> Sp
     chain to the outcome polynomial independently. Exact agreement with the
     recursion is a correctness check on both routes.
     """
-    z0 = opponents_outcome_poly(n, limit=limit)
+    z0 = opponents_outcome_poly(n)
     k = require_int("k", k, 0, z0.nvars)
     total = SparsePolynomial(z0.nvars)
     for mask in range(1 << k):
@@ -342,7 +342,7 @@ def no_winner_poly_by_subsets(n: int, k: int, *, limit: int | None = None) -> Sp
     return total
 
 
-def win_prob_poly(n: int, i: int, *, limit: int | None = None) -> SparsePolynomial:
+def win_prob_poly(n: int, i: int) -> SparsePolynomial:
     """Exact polynomial for the chance of winning with number ``i``.
 
     The focal player wins with ``i`` when, among the opponents, no number
@@ -351,7 +351,7 @@ def win_prob_poly(n: int, i: int, *, limit: int | None = None) -> SparsePolynomi
     contains no ``p_i`` at all.
 
     ``p_i`` is eliminated first, from the outcome terms, and the recursion
-    of :func:`no_winner_poly` runs on what is left (1,716 of 6,435 terms at
+    of :func:`no_winner_poly` runs on what is left (1,716 of 3,432 terms at
     ``n = 8``). Both operators keep or drop whole terms without
     changing a coefficient, ``eliminate`` by ``e_i`` and each
     ``q - project_linear(q, j)``, ``j < i``, by ``e_j``, so they commute:
@@ -359,7 +359,7 @@ def win_prob_poly(n: int, i: int, *, limit: int | None = None) -> SparsePolynomi
     ``eliminate(no_winner_poly(n, i - 1), i)``.
     """
     i = require_int("i", i, 1, n)
-    n, terms = _capped_outcome_terms(n, limit)
+    n, terms = _capped_outcome_terms(n)
     q = SparsePolynomial._of_clean_terms(n, {e: c for e, c in terms.items() if e[i - 1] == 0})
     for j in range(1, i):
         q = q - project_linear(q, j)

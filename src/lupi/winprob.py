@@ -115,7 +115,7 @@ def _product_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     ``k C(m, k)`` (zero where ``k < 0`` or ``k = 1``); and the exponents
     ``|t - (n - 1)|``, ``t = 0..2n-1``, of the power rows in :func:`_steps`,
     whose first ``n`` are the ``N - m`` of the tail powers."""
-    require_cap(n, "n", None, _PRODUCT_N_MAX, "the product form's binomial table")
+    require_cap(n, _PRODUCT_N_MAX, "the product form's binomial table")
     binom = np.zeros((n, n))
     binom[:, 0] = 1.0
     for m in range(1, n):

@@ -226,6 +226,16 @@ class TestFigure:
         assert {r[0] for r in rows} == {"1", "2", "3", "4"}
         assert len(rows) == 64
 
+    def test_fig3_depth_defaults_to_at_most_n(self, capsys, cache_file):
+        # the default depth is min(4, n), so the smallest game runs as is
+        code, out, _ = run(capsys, "figure", "--which", "fig3", "--n", "3",
+                           "--c0", "0.287", "--points", "4")
+        assert code == 0
+        assert {line.split(",")[0] for line in out.strip().splitlines()[1:]} == {"1", "2", "3"}
+        code, out, err = run(capsys, "figure", "--which", "fig3", "--n", "3",
+                             "--c0", "0.287", "--depth", "4")
+        assert code == 1 and out == "" and "depth=4" in err
+
     def test_fig3_needs_n_and_c0(self, capsys, cache_file):
         code, _, err = run(capsys, "figure", "--which", "fig3")
         assert code == 1
@@ -242,6 +252,9 @@ class TestBadInput:
         "probs_null.json": '{"n": 3, "probs": null}',
         "n_fraction.json": '{"n": 3.7, "probs": [0.5, 0.3, 0.2]}',
         "probs_objects.json": '{"n": 3, "probs": [{}, 0.5, 0.5]}',
+        "probs_strings.json": '{"n": 3, "probs": ["0.5", "0.3", "0.2"]}',
+        "probs_booleans.json": '{"n": 3, "probs": [true, false, false]}',
+        "probs_huge.json": '{"n": 3, "probs": [1%s, 0, 0]}' % ("0" * 400),
     }
 
     @pytest.mark.parametrize("argv", [
@@ -251,6 +264,9 @@ class TestBadInput:
         "winprob --n 3 --strategy probs_null.json",
         "winprob --n 3 --strategy n_fraction.json",
         "winprob --n 3 --strategy probs_objects.json",
+        "winprob --n 3 --strategy probs_strings.json",
+        "winprob --n 3 --strategy probs_booleans.json",
+        "winprob --n 3 --strategy probs_huge.json",
         "ne --n 3 --tol nan",
         "ne --n 3 --tol -1",
         "ne --n 5 --tol inf",
@@ -348,6 +364,18 @@ class TestOutputAndConfig:
         assert set(json.loads(cache_file.read_text())["entries"]) == {
             f"n={n},tol=1e-12,start=limit" for n in (3, 4, 5, 6)
         }
+
+    @pytest.mark.parametrize("command", ["payoff", "simulate"])
+    def test_cache_read_once_for_a_source_named_twice(self, capsys, cache_file, monkeypatch, command):
+        extra = ["--rounds", "1000"] if command == "simulate" else []
+        argv = [command, "--n", "5", "--pi", "ne", "--p", "ne", *extra]
+        reads = []
+        load = lupi.cli._load_cache
+        monkeypatch.setattr(lupi.cli, "_load_cache", lambda path: reads.append(path) or load(path))
+        for _ in ("cold", "warm"):
+            reads.clear()
+            code, _, _ = run(capsys, *argv)
+            assert code == 0 and reads == [str(cache_file)]
 
     def test_caps_exit_one(self, capsys, cache_file):
         # only the caps on work that really grows, or on what a double can

@@ -158,3 +158,11 @@ class TestStrategyFiles:
         path.write_text(json.dumps({"n": 3, "probs": [0.5, 0.4, 0.2]}))
         with pytest.raises(ValueError):
             Strategy.from_file(str(path))
+
+    @pytest.mark.parametrize("probs", [["0.5", "0.3", "0.2"], [True, False, False], [10**400, 0, 0]],
+                             ids=["strings", "booleans", "huge_integer"])
+    def test_json_entries_must_be_numbers(self, probs):
+        # float() would read the first two and overflow on the third
+        with pytest.raises(ValueError, match="numbers"):
+            Strategy.from_json_obj({"n": 3, "probs": probs})
+        assert list(Strategy.from_json_obj({"n": 3, "probs": [1, 0, 0]}).probs) == [1.0, 0.0, 0.0]

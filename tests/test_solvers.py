@@ -519,20 +519,26 @@ class TestPayoffOrdering:
 
 
 class TestSizeCaps:
-    # each call at n one above its default cap, where an unchecked cap would
-    # still finish quickly: a cap that is not an integer must not switch it off
+    # each call at n one above its cap, which is a constant of the module it
+    # guards: the keyword that once raised the cap is gone
+    ENUMERATION = "enumeration for n=11 is above the cap n=10"
+    SYMBOLIC = "symbolic expansion for n=9 is above the cap n=8"
     CALLS = [
-        pytest.param("max_players", lambda cap: exact_win_prob(1, Strategy.uniform(11), max_players=cap),
+        pytest.param(exact_win_prob, (1, Strategy.uniform(11)), "max_players", ENUMERATION,
                      id="exact_win_prob"),
-        pytest.param("limit", lambda cap: opponents_outcome_poly(9, limit=cap), id="opponents_outcome_poly"),
-        pytest.param("limit", lambda cap: no_winner_poly(9, 0, limit=cap), id="no_winner_poly"),
-        pytest.param("limit", lambda cap: no_winner_poly_by_subsets(9, 0, limit=cap),
+        pytest.param(opponents_outcome_poly, (9,), "limit", SYMBOLIC, id="opponents_outcome_poly"),
+        pytest.param(no_winner_poly, (9, 0), "limit", SYMBOLIC, id="no_winner_poly"),
+        pytest.param(no_winner_poly_by_subsets, (9, 0), "limit", SYMBOLIC,
                      id="no_winner_poly_by_subsets"),
-        pytest.param("limit", lambda cap: win_prob_poly(9, 1, limit=cap), id="win_prob_poly"),
+        pytest.param(win_prob_poly, (9, 1), "limit", SYMBOLIC, id="win_prob_poly"),
     ]
 
-    @pytest.mark.parametrize("cap", [math.nan, math.inf, 8.5, "9"], ids=["nan", "inf", "fraction", "string"])
-    @pytest.mark.parametrize("name, call", CALLS)
-    def test_cap_must_be_an_integer(self, name, call, cap):
-        with pytest.raises(ValueError, match=f"{name}="):
-            call(cap)
+    @pytest.mark.parametrize("func, args, keyword, message", CALLS)
+    def test_cap_keyword_is_gone(self, func, args, keyword, message):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            func(*args, **{keyword: 11})
+
+    @pytest.mark.parametrize("func, args, keyword, message", CALLS)
+    def test_refused_above_the_cap(self, func, args, keyword, message):
+        with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+            func(*args)
