@@ -520,7 +520,8 @@ class TestPayoffOrdering:
 
 class TestSizeCaps:
     # each call at n one above its cap, which is a constant of the module it
-    # guards: the keyword that once raised the cap is gone
+    # guards: the keyword that once raised the cap is gone, so no cap value,
+    # integer or not, reaches the check or switches it off
     ENUMERATION = "enumeration for n=11 is above the cap n=10"
     SYMBOLIC = "symbolic expansion for n=9 is above the cap n=8"
     CALLS = [
@@ -533,10 +534,11 @@ class TestSizeCaps:
         pytest.param(win_prob_poly, (9, 1), "limit", SYMBOLIC, id="win_prob_poly"),
     ]
 
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, 8.5, "9"], ids=["nan", "inf", "fraction", "string"])
     @pytest.mark.parametrize("func, args, keyword, message", CALLS)
-    def test_cap_keyword_is_gone(self, func, args, keyword, message):
+    def test_cap_must_be_an_integer(self, func, args, keyword, message, cap):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
-            func(*args, **{keyword: 11})
+            func(*args, **{keyword: cap})
 
     @pytest.mark.parametrize("func, args, keyword, message", CALLS)
     def test_refused_above_the_cap(self, func, args, keyword, message):
