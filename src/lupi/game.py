@@ -69,6 +69,8 @@ class Strategy:
             arr = np.asarray(probs, dtype=float)
         except TypeError as exc:
             raise ValueError("strategy entries must be numbers") from exc
+        except OverflowError as exc:  # an integer beyond the largest double
+            raise ValueError("strategy entries must be numbers in [0, 1]") from exc
         if arr.ndim != 1 or arr.size < 3:
             raise ValueError("a strategy needs at least 3 entries (n >= 3)")
         # written so that NaN fails it

@@ -155,6 +155,9 @@ def _steps(probs, n: int, out: np.ndarray | None = None, slopes: np.ndarray | No
 def _kernel(probs: np.ndarray, n: int, upto: int, jacobian: int = 0):
     """``c_1..c_upto`` at raw coordinates by the product form; with
     ``jacobian = r``, also the ``(r, n)`` derivatives of the last ``r``.
+    ``probs`` is one point ``(n,)`` or a stack ``(k, n)`` of them, whose
+    values ``(k, upto)`` and Jacobians ``(k, r, n)`` are each the same to
+    the bit as the point's own call.
 
     With ``c_i = a_i . F_{i-1}``, ``a_i[m] = C(N, m) T_i^(N-m)``, entry
     ``(i, j)`` is ``-a_i' . F_{i-1}`` for ``j <= i`` (through ``T_i``) plus,
@@ -164,57 +167,71 @@ def _kernel(probs: np.ndarray, n: int, upto: int, jacobian: int = 0):
     every ``upto >= i``.
 
     The step matrices are built by :func:`_steps` in chunks of consecutive
-    ``j``, as many as fit ``_STEP_BUDGET`` entries (every step up to
-    ``n = 40``, one step from ``n = 256``), into two buffers reused for
-    every chunk. The forward pass forms the ``dW_j/dp_j F_{j-1}`` of each
-    chunk in one stacked product, so the reverse sweep needs only the
-    ``W_j``: it reuses the last chunk, still held, and rebuilds the earlier
-    ones in reverse order
+    ``j``, as many as fit ``_STEP_BUDGET`` entries over the ``k`` points
+    (for one point every step up to ``n = 40``, one step from ``n = 256``),
+    into two buffers reused for every chunk. The forward pass forms the
+    ``dW_j/dp_j F_{j-1}`` of each chunk in one stacked product, so the
+    reverse sweep needs only the ``W_j``: it reuses the last chunk, still
+    held, and rebuilds the earlier ones in reverse order
     (checkpointing; Griewank and Walther, *Evaluating Derivatives*, 2nd ed.,
-    2008, ch. 12). The buffers are C-ordered like a single step matrix:
-    BLAS sums a matrix-vector product in an order that follows the layout,
-    so any other layout would change the last bits.
+    2008, ch. 12). The tables and step buffers are indexed by ``j`` first
+    and by the point next, the adjoints and the Jacobian by the point first,
+    so one point's arrays are a stack's without that axis. Every step
+    matrix and adjoint is C-ordered as for a single point, and a stacked
+    product makes one BLAS call per point: BLAS sums a matrix-vector product
+    in an order that follows the layout, so any other layout would change
+    the last bits.
     """
     probs = np.asarray(probs, dtype=float)
     binom_n, _, _, exponents = _product_constants(n)
     expo = exponents[:n]
-    chunk = max(1, _STEP_BUDGET // (n * n))
+    lanes = probs.shape[:-1]  # () for one point, (k,) for a stack
+    cols = np.ascontiguousarray(probs.T)  # row j - 1: every point's p_j
+    chunk = max(1, _STEP_BUDGET // (math.prod(lanes) * n * n))
     starts = range(1, upto, chunk)
-    steps = np.empty((min(chunk, upto - 1), n, n))
+    steps = np.empty((min(chunk, upto - 1), *lanes, n, n))
     slopes = np.empty_like(steps) if jacobian else None
-    through_count = np.empty((upto, n)) if jacobian else None  # row j: dW_j/dp_j F_{j-1}
-    tables = np.zeros((upto, n))
-    tables[0, 0] = 1.0
+    through_count = np.empty((upto, *lanes, n, 1)) if jacobian else None  # row j: dW_j/dp_j F_{j-1}
+    tables = np.zeros((upto, *lanes, n, 1))  # column vectors: a stacked product takes one per point
+    tables[0, ..., 0, 0] = 1.0
     for start in starts:
         stop = min(start + chunk, upto)
         held = slice(stop - start)
-        _steps(probs[start - 1 : stop - 1, None], n, steps[held], slopes[held] if jacobian else None)
+        _steps(cols[start - 1 : stop - 1, ..., None], n, steps[held], slopes[held] if jacobian else None)
         for j in range(start, stop):
             np.matmul(steps[j - start], tables[j - 1], out=tables[j])
         if jacobian:
-            np.matmul(slopes[held], tables[start - 1 : stop - 1, :, None], out=through_count[start:stop, :, None])
-    terms = [1.0, *(-v for v in probs[:upto].tolist())]
-    tails = np.array([[math.fsum(terms[: i + 1])] for i in range(1, upto + 1)])  # exactly rounded
+            np.matmul(slopes[held], tables[start - 1 : stop - 1], out=through_count[start:stop])
+    tables = tables[..., 0]
+    signed = [[1.0, *lane] for lane in (-probs[..., :upto]).reshape(-1, upto).tolist()]
+    tails = np.array([math.fsum(terms[:i]) for i in range(2, upto + 2) for terms in signed])  # exactly rounded
+    tails = tails.reshape(upto, *lanes, 1)
     weights = binom_n * np.power(tails, expo)
-    values = (weights * tables).sum(axis=1)
+    values = np.ascontiguousarray((weights * tables).sum(axis=-1).T)
     if not jacobian:
         return values
 
     first = upto - jacobian
     # the factor expo is 0 where the clamped exponent differs from expo - 1
     power = np.power(tails[first:], np.maximum(expo - 1, 0))
-    through_tail = (binom_n * expo * power * tables[first:]).sum(axis=1)
-    jac = -through_tail[:, None] * (np.arange(n) < np.arange(first + 1, upto + 1)[:, None])
-    adjoint = np.zeros((n, jacobian))
+    through_tail = (binom_n * expo * power * tables[first:]).sum(axis=-1)
+    jac = -through_tail.T[..., None] * (np.arange(n) < np.arange(first + 1, upto + 1)[:, None])
+    adjoint = np.zeros((*lanes, n, jacobian))
+    transposed = steps.swapaxes(-1, -2)  # W_j^T, a view that follows every rebuild
+    through_rows = through_count.swapaxes(-1, -2)  # the same, as row vectors
+    # row j - 1: the adjoint part of column j - 1, which is added to each
+    # column once, after the sweep; the columns from upto - 1 on have none
+    swept = np.empty((upto - 1, *lanes, 1, jacobian))
     for start in reversed(starts):
         stop = min(start + chunk, upto)
         if stop < upto:  # the last chunk is still held from the forward pass
-            _steps(probs[start - 1 : stop - 1, None], n, steps[: stop - start])
+            _steps(cols[start - 1 : stop - 1, ..., None], n, steps[: stop - start])
         for j in range(stop - 1, start - 1, -1):
             if j >= first:
-                adjoint[:, j - first] = weights[j]  # c_{j+1} = a_{j+1} . F_j joins the sweep
-            jac[:, j - 1] += adjoint.T @ through_count[j]
-            adjoint = steps[j - start].T @ adjoint
+                adjoint[..., j - first] = weights[j]  # c_{j+1} = a_{j+1} . F_j joins the sweep
+            np.matmul(through_rows[j], adjoint, out=swept[j - 1])
+            adjoint = transposed[j - start] @ adjoint
+    jac[..., : upto - 1] += swept[..., 0, :].transpose(*range(1, swept.ndim - 1), 0)  # j - 1 to the last axis
     return values, jac
 
 

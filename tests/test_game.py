@@ -113,6 +113,12 @@ class TestStrategyValidation:
         with pytest.raises(ValueError):
             Strategy([float("nan"), 0.5, 0.5])
 
+    def test_huge_integer_entry_rejected(self):
+        # converting it to a double overflows, which is no reason for
+        # another exception type than every other bad entry gets
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Strategy([10**400, 0, 0])
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             Strategy([0.5, 0.5])

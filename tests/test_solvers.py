@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lupi.solvers
+import lupi.winprob
 from lupi import (
     ClassificationError,
     ResourceLimitError,
@@ -29,7 +30,7 @@ from lupi import (
     win_prob_poly,
     win_prob_vector,
 )
-from lupi.solvers import _limit_start, _spg_ascent, _tail_root
+from lupi.solvers import _limit_start, _spg_lockstep, _tail_root
 from lupi.winprob import PrefixChance
 
 SQRT3 = math.sqrt(3.0)
@@ -423,13 +424,15 @@ class TestBestSymmetric:
     @pytest.mark.parametrize("n", [3, 8, 12])
     def test_every_start_reaches_uniform(self, n):
         # each start converges on its own, not only the uniform one that wins
-        # ties; the worst of 450 starts at n = 3..12 was 1e-13 from uniform
+        # ties; the worst of 450 starts at n = 3..12 was 1e-13 from uniform.
+        # The 20 starts climb in lockstep, and each ends where it ends alone.
         rng = np.random.default_rng(n)
-        for concentration in (5.0, 0.5):
-            for _ in range(10):
-                p, _, steps = _spg_ascent(rng.dirichlet(np.full(n, concentration)), 500)
-                assert np.max(np.abs(p - 1 / n)) <= 1e-12
-                assert steps < 500
+        starts = [rng.dirichlet(np.full(n, concentration)) for concentration in (5.0, 0.5) for _ in range(10)]
+        for start, (p, w, steps) in zip(starts, _spg_lockstep(starts, 500)):
+            assert np.max(np.abs(p - 1 / n)) <= 1e-12
+            assert steps < 500
+            alone, w_alone, steps_alone = _spg_lockstep([start], 500)[0]
+            assert (p.tobytes(), w, steps) == (alone.tobytes(), w_alone, steps_alone)
 
     def test_uniform_start_is_stationary(self):
         opt = best_symmetric(7, restarts=0)
@@ -453,22 +456,39 @@ class TestBestSymmetric:
         with pytest.raises(ResourceLimitError, match="cap n=1000"):
             best_symmetric(10**9)
 
-    @pytest.mark.parametrize("n", [8, 10, 12])
-    def test_work_count(self, n, monkeypatch):
-        # spectral steps converge in tens of steps per start, each one
-        # kernel call when the line search accepts the first trial point
-        calls = 0
+    @staticmethod
+    def _points_per_call(monkeypatch) -> list[int]:
+        """Record the number of points of each kernel call the solvers make."""
+        points = []
 
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return kernel(*args, **kwargs)
+        def counted(probs, *args, **kwargs):
+            points.append(1 if np.ndim(probs) == 1 else len(probs))
+            return kernel(probs, *args, **kwargs)
 
         kernel = lupi.solvers._kernel
         monkeypatch.setattr(lupi.solvers, "_kernel", counted)
+        return points
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_work_count(self, n, monkeypatch):
+        # spectral steps converge in tens of steps per start, and the starts
+        # climb in lockstep: one kernel call per round for every start still
+        # climbing (12, 11 and 12 rounds here), then one for the compensated
+        # payoff, where one call per point made 97, 100 and 104
+        points = self._points_per_call(monkeypatch)
         opt = best_symmetric(n)
         assert opt.iterations <= 150
-        assert calls <= 3 * opt.iterations + opt.starts
+        assert len(points) <= 15
+        assert points[0] == opt.starts and points[-1] == 1
+
+    def test_calls_stay_within_the_step_budget(self, monkeypatch):
+        # a call takes at most _STEP_BUDGET // n^2 points, 10 at n = 80, so
+        # that its step matrices fit the kernel's budget: the 11 starts'
+        # rounds take two calls each
+        n = 80
+        points = self._points_per_call(monkeypatch)
+        best_symmetric(n, max_steps=1)
+        assert max(points) == lupi.winprob._STEP_BUDGET // (n * n) == 10
 
     def test_step_counts_are_pinned(self):
         # the kernel's rounding steers every SPG step: a kernel change that

@@ -701,6 +701,25 @@ class TestStepBatches:
             monkeypatch.setattr(lupi.winprob, "_STEP_BUDGET", budget)
             assert [bits(_kernel(probs, n, upto, jacobian=r)) for upto, r in calls] == reference
 
+    @pytest.mark.parametrize("n", [3, 8, 17, 40])
+    def test_each_point_of_a_stack_matches_its_own_call(self, n, monkeypatch):
+        # a stack of points, with zero entries and the uniform point, under
+        # budgets that put chunk boundaries inside the stacked sweep: each
+        # point's values and Jacobian the same to the bit as its own call
+        rng = np.random.default_rng(7000 + n)
+        raw = rng.random((4, n)) + 1e-3
+        raw[rng.random((4, n)) < 0.3] = 0.0
+        raw[:, 0] += 0.1
+        stack = np.vstack((raw / raw.sum(axis=1, keepdims=True), np.full(n, 1.0 / n)))
+        calls = [(upto, r) for upto in sorted({2, n // 2 + 1, n}) for r in sorted({0, 1, upto})]
+        for budget in (lupi.winprob._STEP_BUDGET, 1, 3 * n * n, 3 * len(stack) * n * n):
+            monkeypatch.setattr(lupi.winprob, "_STEP_BUDGET", budget)
+            for upto, r in calls:
+                together = _kernel(stack, n, upto, jacobian=r)
+                lanes = zip(*together) if r else together
+                for p, lane in zip(stack, lanes):
+                    assert bits(lane) == bits(_kernel(p, n, upto, jacobian=r))
+
     def test_memory_stays_bounded(self):
         # from n = 256 a chunk is one step matrix per buffer, so the full
         # Jacobian at n = 400 peaks near 11 MiB; built one step at a time
