@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
-from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -495,14 +493,14 @@ def bound_c0(
 
 
 def _project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ranks = np.arange(1, v.size + 1)
-    mask = u - css / ranks > 0.0
-    rho = int(ranks[mask][-1])
-    theta = css[mask][-1] / rho
-    return np.maximum(v - theta, 0.0)
+    """Euclidean projection of each row of ``v`` onto the probability simplex
+    (sort-based); each row is the same to the bit as its own projection."""
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = u.cumsum(axis=1) - 1.0
+    ranks = np.arange(1, v.shape[1] + 1)
+    rho = ranks[-1] - (u - css / ranks > 0.0)[:, ::-1].argmax(axis=1)  # the last rank kept
+    theta = css[np.arange(len(v)), rho - 1] / rho
+    return np.maximum(v - theta[:, None], 0.0)
 
 
 def _payoff_floor(n: int, w: float) -> float:
@@ -510,7 +508,13 @@ def _payoff_floor(n: int, w: float) -> float:
     return n * _EPS * w
 
 
-def _payoffs(points: np.ndarray) -> tuple[list[float], np.ndarray]:
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a_r . b_r`` for each row ``r``, the same to the bit as ``a_r @ b_r``
+    (``np.einsum`` sums in another order)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _payoffs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Payoff ``W = c . p`` and its gradient ``c + J^T p``, less its mean,
     at each row of ``points``: one kernel call, each row the same to the
     bit as its own call."""
@@ -521,72 +525,60 @@ def _payoffs(points: np.ndarray) -> tuple[list[float], np.ndarray]:
     w = (c[:, None] @ column)[:, 0, 0]
     # the part along (1, ..., 1) cannot move a point of the simplex;
     # kept, it carries the rounding of sum(d) into g^T d and s^T y
-    return w.tolist(), g - g.mean(axis=1, keepdims=True)
+    return w, g - g.mean(axis=1, keepdims=True)
 
 
-def _spg_ascent(
-    p: np.ndarray, max_steps: int
-) -> Generator[np.ndarray, tuple[float, np.ndarray], tuple[np.ndarray, float, int]]:
-    """One start of :func:`best_symmetric`, as a generator: it yields each
-    point whose payoff and gradient it needs, is sent them back as
-    ``(w, g)``, and returns the point reached, its payoff and the steps."""
-    n = p.size
-    w, g = yield p
-    recent = deque([w], maxlen=_SPG_MEMORY)
-    lam = 1.0
-    steps = 0
-    while steps < max_steps:
-        steps += 1
-        d = _project_to_simplex(p + lam * g) - p
-        size, gd = float(np.max(np.abs(d))), float(g @ d)
-        if size <= _SPG_STILL or gd <= 0.0:
-            break
-        t, trial = 1.0, p + d
-        w_t, g_t = yield trial  # most steps are accepted at t = 1
-        # below the floor the payoff cannot rank moves: accept on the gradient
-        while gd > _payoff_floor(n, w) and w_t < max(recent) + _SPG_ARMIJO * t * gd:
-            t *= 0.5
-            if t * size <= _SPG_STILL:
-                break
-            trial = p + t * d
-            w_t, g_t = yield trial
-        if t * size <= _SPG_STILL:
-            break
-        s, y = trial - p, g_t - g
-        curvature = -float(s @ y)
-        lam = _SPG_LAM_MAX
-        if curvature > 0.0:
-            lam = min(max(float(s @ s) / curvature, _SPG_LAM_MIN), _SPG_LAM_MAX)
-        p, w, g = trial, w_t, g_t
-        recent.append(w)
-    return p, w, steps
-
-
-def _spg_lockstep(starts: list[np.ndarray], max_steps: int) -> list[tuple[np.ndarray, float, int]]:
-    """Run an :func:`_spg_ascent` from each start in lockstep: each round
-    evaluates the points every unfinished start waits on in one kernel call,
-    or in calls of at most ``_STEP_BUDGET // n^2`` points, so that one call's
-    step matrices fit the kernel's budget. Returns each start's
-    ``(p, w, steps)`` in start order, the same as that start run alone."""
-    n = starts[0].size
+def _spg_lockstep(
+    starts: np.ndarray | list[np.ndarray], max_steps: int
+) -> list[tuple[np.ndarray, float, int]]:
+    """The SPG ascent of :func:`best_symmetric` from every start at once, as
+    one array program: start ``r`` is row ``r`` of ``(k, n)`` arrays, with
+    its own payoff ``w``, spectral step ``lam``, backtracking factor ``t``,
+    ``max |d|``, ``g . d``, step count and ring of its last 10 payoffs.
+    Each round evaluates the point every live row waits on (its start, or
+    the trial point ``p + t d`` of its line search) in one kernel call, or in
+    calls of at most ``_STEP_BUDGET // n^2`` points, so that one call's step
+    matrices fit the kernel's budget. One masked pass over the rows then
+    runs the Armijo test, halves ``t`` or accepts the trial point, forms
+    ``lam``, projects ``p + lam g`` and applies the stop tests. Returns each
+    start's ``(p, w, steps)`` in start order, the same to the bit as that
+    start run alone."""
+    p = np.array(starts, dtype=float)
+    k, n = p.shape
     per_call = max(1, _STEP_BUDGET // (n * n))
-    climbs = [_spg_ascent(p, max_steps) for p in starts]
-    points = [next(climb) for climb in climbs]
-    results: list = [None] * len(climbs)
-    waiting = list(range(len(climbs)))
-    while waiting:
-        still = []
-        for lo in range(0, len(waiting), per_call):
-            group = waiting[lo : lo + per_call]
-            w, g = _payoffs(np.stack([points[i] for i in group]))
-            for i, w_i, g_i in zip(group, w, g):
-                try:
-                    points[i] = climbs[i].send((w_i, g_i))
-                    still.append(i)
-                except StopIteration as done:
-                    results[i] = done.value
-        waiting = still
-    return results
+    x, g, g_x, d = p.copy(), np.zeros_like(p), np.zeros_like(p), np.zeros_like(p)
+    w, w_x, t, gd = np.zeros((4, k))
+    lam, steps, every = np.ones(k), np.zeros(k, dtype=int), np.arange(k)
+    recent = np.full((k, _SPG_MEMORY), -np.inf)
+    live = np.ones(k, dtype=bool)
+    while live.any():
+        rows = np.flatnonzero(live)
+        for lo in range(0, rows.size, per_call):
+            group = rows[lo : lo + per_call]
+            w_x[group], g_x[group] = _payoffs(x[group])
+        # x is a trial point once a row has stepped; below the floor the
+        # payoff cannot rank moves, so the trial is accepted on the gradient
+        climbing = live & (steps > 0)
+        back = climbing & (gd > _payoff_floor(n, w)) & (w_x < recent.max(axis=1) + _SPG_ARMIJO * t * gd)
+        took, moved = live & ~back, climbing & ~back
+        s = x - p
+        curvature = -_row_dot(s, g_x - g)
+        bent = moved & (curvature > 0.0)
+        quotient = np.divide(_row_dot(s, s), curvature, out=np.full(k, _SPG_LAM_MAX), where=bent)
+        lam = np.where(moved, np.minimum(np.maximum(quotient, _SPG_LAM_MIN), _SPG_LAM_MAX), lam)
+        np.copyto(p, x, where=took[:, None])
+        np.copyto(g, g_x, where=took[:, None])
+        w = np.where(took, w_x, w)
+        recent[every, (steps - 1 + took) % _SPG_MEMORY] = w  # a backtracking row rewrites its w in place
+        step = took & (steps < max_steps)
+        steps += step
+        np.copyto(d, _project_to_simplex(p + lam[:, None] * g) - p, where=step[:, None])
+        size, gd = np.abs(d).max(axis=1), _row_dot(g, d)
+        t = np.where(step, 1.0, np.where(back, 0.5 * t, t))
+        # a start ends out of steps, on no move, on no ascent, or when its line search fails
+        live = (back & (t * size > _SPG_STILL)) | (step & (size > _SPG_STILL) & (gd > 0.0))
+        x = p + t[:, None] * d
+    return [(p[r].copy(), float(w[r]), int(steps[r])) for r in range(k)]
 
 
 def best_symmetric(
@@ -619,14 +611,15 @@ def best_symmetric(
     so far only by beating it by more than the floor, so a rounding tie
     keeps the uniform start, which comes first.
 
-    The starts climb in lockstep, each as it would alone: a round gathers
-    the point every unfinished start waits on (its start point, or a trial
-    point of its line search) and evaluates them in one stacked kernel call,
-    whose rows are the same to the bit as one call per point; up to
-    ``n = 77`` one call takes all 11 starts, and from ``n = 256`` one point,
-    so that a call's step matrices stay within the kernel's budget. At
-    ``n = 10`` the 99 steps take 11 rounds, 12 kernel calls with the
-    compensated payoff, where one call per point made 100.
+    The starts climb in lockstep as one array program, each row as it would
+    alone: a round evaluates the point every unfinished start waits on (its
+    start point, or a trial point of its line search) in one stacked kernel
+    call, whose rows are the same to the bit as one call per point, and one
+    masked numpy pass then takes every row's Armijo test, spectral step and
+    projection. Up to ``n = 77`` one call takes all 11 starts, and from
+    ``n = 256`` one point, so that a call's step matrices stay within the
+    kernel's budget. At ``n = 10`` the 99 steps take 11 rounds, 12 kernel
+    calls with the compensated payoff, where one call per point made 100.
 
     ``iterations`` counts the steps over all starts, each start's closing
     stationarity check included. This is a confirmation tool, not an
@@ -638,11 +631,8 @@ def best_symmetric(
     max_steps = require_int("max_steps", max_steps, 0)
     seed = require_int("seed", seed, 0)
     _product_constants(n)  # refuses n above the product form's range before the starts are built
-    rng = np.random.default_rng(seed)
-    starts = [np.full(n, 1.0 / n)]
-    for _ in range(restarts):
-        raw = rng.random(n) + 0.1
-        starts.append(raw / raw.sum())
+    raw = np.random.default_rng(seed).random((restarts, n)) + 0.1  # the numbers of one random(n) per restart
+    starts = np.vstack([np.full((1, n), 1.0 / n), raw / raw.sum(axis=1, keepdims=True)])
 
     best_p: np.ndarray | None = None
     best_w = -math.inf

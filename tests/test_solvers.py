@@ -30,7 +30,7 @@ from lupi import (
     win_prob_poly,
     win_prob_vector,
 )
-from lupi.solvers import _limit_start, _spg_lockstep, _tail_root
+from lupi.solvers import _limit_start, _payoffs, _project_to_simplex, _row_dot, _spg_lockstep, _tail_root
 from lupi.winprob import PrefixChance
 
 SQRT3 = math.sqrt(3.0)
@@ -51,6 +51,53 @@ BEST_SYMMETRIC_W = {
     11: 0.09045198422740237,
     12: 0.08306485105120871,
 }
+
+
+def _project_one(v):
+    """Sort-based projection of one point onto the simplex: the one-point
+    form that the row-wise _project_to_simplex must match to the bit."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ranks = np.arange(1, v.size + 1)
+    mask = u - css / ranks > 0.0
+    rho = int(ranks[mask][-1])
+    theta = css[mask][-1] / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def _climb_alone(p, max_steps):
+    """One start of best_symmetric's ascent climbed by itself, with one-point
+    payoffs, scalar dot products and a plain list of recent payoffs (SPG2:
+    memory 10, Armijo fraction 1e-4, step clamp [1e-10, 1e10], stop at a
+    move of 1e-13). Returns (p, w, steps)."""
+
+    def payoff(q):
+        w, g = _payoffs(q[None, :])
+        return float(w[0]), g[0]
+
+    n = p.size
+    w, g = payoff(p)
+    recent, lam, steps = [w], 1.0, 0
+    while steps < max_steps:
+        steps += 1
+        d = _project_one(p + lam * g) - p
+        size, gd = float(np.max(np.abs(d))), float(g @ d)
+        if size <= 1e-13 or gd <= 0.0:
+            break
+        t, trial = 1.0, p + d
+        w_t, g_t = payoff(trial)
+        while gd > n * np.finfo(float).eps * w and w_t < max(recent[-10:]) + 1e-4 * t * gd:
+            t *= 0.5
+            if t * size <= 1e-13:
+                return p, w, steps
+            trial = p + t * d
+            w_t, g_t = payoff(trial)
+        s, y = trial - p, g_t - g
+        curvature = -float(s @ y)
+        lam = min(max(float(s @ s) / curvature, 1e-10), 1e10) if curvature > 0.0 else 1e10
+        p, w, g = trial, w_t, g_t
+        recent.append(w)
+    return p, w, steps
 
 
 class TestSolveNE:
@@ -489,6 +536,57 @@ class TestBestSymmetric:
         points = self._points_per_call(monkeypatch)
         best_symmetric(n, max_steps=1)
         assert max(points) == lupi.winprob._STEP_BUDGET // (n * n) == 10
+
+    def test_rows_split_across_calls_climb_as_alone(self, monkeypatch):
+        # at n = 80 a call takes 10 points, so the 11 starts' first round
+        # takes two calls; the uniform start stops there, and the rows
+        # behind it move into the first call of later rounds
+        n = 80
+        rng = np.random.default_rng(n)
+        starts = [np.full(n, 1.0 / n)] + [rng.dirichlet(np.ones(n)) for _ in range(10)]
+        points = self._points_per_call(monkeypatch)
+        climbed = _spg_lockstep(starts, 3)
+        assert points[:3] == [10, 1, 10] and max(points) == 10
+        assert climbed[0][2] == 1 and all(steps == 3 for _, _, steps in climbed[1:])
+        for start, (p, w, steps) in zip(starts, climbed):
+            alone, w_alone, steps_alone = _climb_alone(start, 3)
+            assert (p.tobytes(), w, steps) == (alone.tobytes(), w_alone, steps_alone)
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_rows_climb_as_alone(self, n):
+        # every row of the array program takes the steps, line-search
+        # halvings and spectral steps of its start climbed by itself
+        rng = np.random.default_rng(n)
+        starts = [np.full(n, 1.0 / n)] + [rng.dirichlet(np.full(n, 0.5)) for _ in range(8)]
+        for start, (p, w, steps) in zip(starts, _spg_lockstep(starts, 500)):
+            alone, w_alone, steps_alone = _climb_alone(start, 500)
+            assert (p.tobytes(), w, steps) == (alone.tobytes(), w_alone, steps_alone)
+
+    @pytest.mark.parametrize("n", [3, 8, 17, 40])
+    def test_row_dot_matches_one_point_dot(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal((2, 64, n))
+        assert _row_dot(a, b).tolist() == [float(a[r] @ b[r]) for r in range(64)]
+
+    @pytest.mark.parametrize("n", [3, 8, 17, 40])
+    def test_projection_matches_one_point_projection(self, n):
+        # rows spread wide enough to clip entries to 0, rows of tied
+        # entries, and rows already on the simplex
+        rng = np.random.default_rng(n)
+        stack = np.concatenate([
+            1.0 / n + rng.standard_normal((50, n)) * rng.choice([1e-3, 0.1, 10.0], (50, 1)),
+            rng.integers(-2, 3, (50, n)) / 4.0,
+            rng.dirichlet(np.ones(n), 50),
+            np.full((1, n), 1.0 / n),
+        ])
+        projected = _project_to_simplex(stack)
+        assert (projected == 0.0).any() and min(len(set(row)) for row in stack) < n
+        for row, out in zip(stack, projected):
+            assert out.tobytes() == _project_one(row).tobytes()
+        assert (projected >= 0.0).all()
+        # sums to 1 within n eps of the row's scale: theta carries the rounding of its largest entries
+        scale = np.maximum(1.0, np.abs(stack).max(axis=1))
+        assert (np.abs(projected.sum(axis=1) - 1.0) <= n * np.finfo(float).eps * scale).all()
 
     def test_step_counts_are_pinned(self):
         # the kernel's rounding steers every SPG step: a kernel change that
