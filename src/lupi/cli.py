@@ -33,7 +33,7 @@ import tempfile
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import SUM_TOLERANCE, ClassificationError, ResourceLimitError, cache_path, require_int
+from .config import NE_TOL, SUM_TOLERANCE, ClassificationError, ResourceLimitError, cache_path, require_int
 
 if TYPE_CHECKING:
     from .game import Strategy
@@ -96,14 +96,11 @@ def _emit(args: argparse.Namespace, obj: object = None, header=None, rows=None) 
 # ---------------------------------------------------------------------------
 
 
-# The tolerance of every cached equilibrium solve; its repr is part of the key.
-_CACHE_TOL = 1e-12
-
-
 def _cache_key(n: int) -> str:
-    # ``start=limit``: solve_ne starts from the Poisson-limit equilibrium, and
-    # its tail digits differ from those of entries solved from uniform play
-    return f"n={n},tol={_CACHE_TOL!r},start=limit"
+    # the solve's tolerance is part of the key; ``start=limit``: solve_ne
+    # starts from the Poisson-limit equilibrium, and its tail digits differ
+    # from those of entries solved from uniform play
+    return f"n={n},tol={NE_TOL!r},start=limit"
 
 
 def _load_cache(path: str) -> dict:
@@ -170,7 +167,7 @@ def solved_ne_strategies(n_list, cache_file: str):
             continue
         from .solvers import solve_ne
 
-        solution = solve_ne(n, tol=_CACHE_TOL)
+        solution = solve_ne(n)
         if not solution.converged:
             raise NonConvergence(
                 f"equilibrium solve for n={n} did not converge "
@@ -179,7 +176,7 @@ def solved_ne_strategies(n_list, cache_file: str):
         probs = [float(v) for v in solution.strategy.probs]
         data["entries"][key] = {
             "n": n,
-            "tol": _CACHE_TOL,
+            "tol": NE_TOL,
             "probs": probs,
             "c_ne": solution.c_ne,
             "residual": solution.residual,
@@ -225,7 +222,7 @@ def _resolve_pi_and_p(args: argparse.Namespace) -> tuple[Strategy, Strategy]:
 def cmd_ne(args: argparse.Namespace) -> int:
     from .solvers import solve_ne
 
-    solution = solve_ne(args.n, tol=args.tol, max_iter=args.max_iter)
+    solution = solve_ne(args.n)
     rows = [[i + 1, float(v), solution.c_ne] for i, v in enumerate(solution.strategy.probs)]
     _emit(args, solution.to_json_obj(), ["i", "p_i", "c_ne"], rows)
     return EXIT_OK if solution.converged else EXIT_NUMERIC
@@ -286,7 +283,7 @@ def cmd_payoff(args: argparse.Namespace) -> int:
 def cmd_bestsym(args: argparse.Namespace) -> int:
     from .solvers import best_symmetric
 
-    optimum = best_symmetric(args.n, restarts=args.restarts)
+    optimum = best_symmetric(args.n)
     rows = [[i + 1, float(v), optimum.w] for i, v in enumerate(optimum.strategy.probs)]
     _emit(args, optimum.to_json_obj(), ["i", "p_i", "w"], rows)
     return EXIT_OK
@@ -394,8 +391,6 @@ def build_parser() -> _Parser:
 
     p_ne = sub.add_parser("ne", parents=[common], help="solve the symmetric equilibrium")
     p_ne.add_argument("--n", type=int, required=True)
-    p_ne.add_argument("--tol", type=float, default=1e-12)
-    p_ne.add_argument("--max-iter", type=int, default=200)
     p_ne.set_defaults(func=cmd_ne)
 
     p_wp = sub.add_parser("winprob", parents=[common], help="per-number win chances of a strategy")
@@ -436,7 +431,6 @@ def build_parser() -> _Parser:
     p_best = sub.add_parser("bestsym", parents=[common],
                             help="best symmetric strategy (everyone plays it)")
     p_best.add_argument("--n", type=int, required=True)
-    p_best.add_argument("--restarts", type=int, default=10)
     p_best.set_defaults(func=cmd_bestsym)
 
     p_fig = sub.add_parser(

@@ -1,5 +1,8 @@
 """The cache location, tolerances, errors and the argument checks.
 
+``NE_TOL`` is the one equilibrium tolerance: :func:`lupi.solvers.solve_ne`
+converges to it, and the command-line cache keys its entries by it.
+
 Size caps stand only before exponential work (polynomial expansion,
 enumeration) and the product form's binomial table, each a constant of the
 one module it guards; :func:`require_cap` is the one place that compares
@@ -18,6 +21,9 @@ import os
 # quietly fixing badly formed input hides bugs.
 SUM_TOLERANCE = 1e-12
 RENORM_THRESHOLD = 1e-9
+
+# Convergence threshold of the equilibrium solve on max_i |c_i - c_n|.
+NE_TOL = 1e-12
 
 
 class ResourceLimitError(RuntimeError):

@@ -28,18 +28,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ClassificationError, require_int
+from .config import NE_TOL, ClassificationError, require_int
 from .game import Strategy
 from .winprob import _STEP_BUDGET, PrefixChance, _kernel, _product_constants
 
 _EPS = float(np.finfo(float).eps)
 
+_NEWTON_MAX_ITER = 200  # solve_ne's budget; it converges in 4-7 iterations
+
 # spectral projected gradient (best_symmetric): nonmonotone memory, Armijo
-# fraction, spectral step clamp, and the displacement that counts as no move
+# fraction, spectral step clamp, the displacement that counts as no move, the
+# random starts beside the uniform one, and each start's step budget
 _SPG_MEMORY = 10
 _SPG_ARMIJO = 1e-4
 _SPG_LAM_MIN, _SPG_LAM_MAX = 1e-10, 1e10
 _SPG_STILL = 1e-13
+_SPG_RESTARTS = 10
+_SPG_MAX_STEPS = 500
+
+_ORDERING_TOL = 1e-9  # verify_ordering_inequality's bound on its identity's two sides
 
 # Endpoints for bisections over the win value c0; a win probability of
 # exactly 0 or 1 is never an equilibrium value.
@@ -176,11 +183,6 @@ class SymmetricOptimum:
 # ---------------------------------------------------------------------------
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 <= tol < math.inf:  # NaN fails it too
-        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
-
-
 def _limit_start(n: int) -> np.ndarray:
     """The first ``n`` probabilities of the Poisson-limit equilibrium.
 
@@ -197,7 +199,7 @@ def _limit_start(n: int) -> np.ndarray:
     return x / (n - 1)
 
 
-def solve_ne(n: int, tol: float = 1e-12, max_iter: int = 200) -> NESolution:
+def solve_ne(n: int) -> NESolution:
     """Solve the symmetric equilibrium: every number wins equally often.
 
     The system is ``c_i(p) - c_n(p) = 0`` for ``i = 1..n-1``. The strategy
@@ -223,16 +225,14 @@ def solve_ne(n: int, tol: float = 1e-12, max_iter: int = 200) -> NESolution:
     Args:
         n: Number of players, ``3 <= n <= 1000``, the product form's range
             (``ResourceLimitError`` above it).
-        tol: Convergence threshold on ``max_i |c_i - c_n|``.
-        max_iter: Newton iteration budget.
 
     Returns:
-        An :class:`NESolution`; ``converged`` is False when the budget or
-        the damping floor was hit, with diagnostics still filled in.
+        An :class:`NESolution`, converged when ``max_i |c_i - c_n|`` is at
+        most :data:`lupi.config.NE_TOL`; ``converged`` is False when the
+        budget of 200 iterations or the damping floor was hit, with
+        diagnostics still filled in.
     """
     n = require_int("n", n, 3)
-    _check_tol(tol)
-    max_iter = require_int("max_iter", max_iter, 0)
     _product_constants(n)  # refuses n above the product form's range before the start is built
 
     def strategy_of(z: np.ndarray) -> np.ndarray:
@@ -246,8 +246,8 @@ def solve_ne(n: int, tol: float = 1e-12, max_iter: int = 200) -> NESolution:
     c, jac_p = _kernel(p, n, n, jacobian=n)  # each point's values and Jacobian in one call
     f = c[:-1] - c[-1]
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if np.max(np.abs(f)) <= tol:
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
+        if np.max(np.abs(f)) <= NE_TOL:
             iterations -= 1
             break
         # chain rule through the softmax: dp_r/dz_k = p_r (delta_rk - p_k)
@@ -279,13 +279,18 @@ def solve_ne(n: int, tol: float = 1e-12, max_iter: int = 200) -> NESolution:
         c_ne=float(np.mean(c)),
         residual=residual,
         iterations=iterations,
-        converged=residual <= tol,
+        converged=residual <= NE_TOL,
     )
 
 
 # ---------------------------------------------------------------------------
 # sequential chain
 # ---------------------------------------------------------------------------
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:  # NaN fails it too
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
 
 
 def _tail_root(at_tail, rest: float, c0: float) -> tuple[float | None, float, bool]:
@@ -581,20 +586,14 @@ def _spg_lockstep(
     return [(p[r].copy(), float(w[r]), int(steps[r])) for r in range(k)]
 
 
-def best_symmetric(
-    n: int,
-    *,
-    restarts: int = 10,
-    max_steps: int = 500,
-    seed: int = 20240917,
-) -> SymmetricOptimum:
+def best_symmetric(n: int, *, seed: int = 20240917) -> SymmetricOptimum:
     """Maximize the everyone-plays-it payoff over the probability simplex.
 
     Spectral projected gradient (SPG2 of Birgin, Martinez and Raydan, SIAM
     J. Optim. 2000) on the analytic gradient ``g = c + J^T p`` of
     ``W(p) = sum_i p_i c_i(p)``, less its mean (the part along
     ``(1, ..., 1)`` does not move a point of the simplex), multi-start from the uniform strategy plus
-    ``restarts`` seeded random interior points. Each step projects
+    10 seeded random interior points. Each step projects
     ``p + lam g`` onto the simplex once, backtracks along the resulting
     direction ``d`` under the nonmonotone Armijo test against the best of
     the last 10 payoffs, and takes the next ``lam`` from the
@@ -602,7 +601,7 @@ def best_symmetric(
     under relabelling the numbers, so at the uniform strategy its Hessian
     on the simplex is a multiple of the identity and that quotient is the
     Newton step. A start stops when ``max |d| <= 1e-13``, when ``d`` is no
-    ascent direction, when the line search fails, or after ``max_steps``.
+    ascent direction, when the line search fails, or after 500 steps.
 
     The payoff is known only to its rounding floor ``n eps W``. Once the
     predicted gain ``g^T d`` falls below it the payoff cannot rank moves, so
@@ -627,17 +626,15 @@ def best_symmetric(
     self-interested player sticks to.
     """
     n = require_int("n", n, 3)
-    restarts = require_int("restarts", restarts, 0)
-    max_steps = require_int("max_steps", max_steps, 0)
     seed = require_int("seed", seed, 0)
     _product_constants(n)  # refuses n above the product form's range before the starts are built
-    raw = np.random.default_rng(seed).random((restarts, n)) + 0.1  # the numbers of one random(n) per restart
+    raw = np.random.default_rng(seed).random((_SPG_RESTARTS, n)) + 0.1  # the numbers of one random(n) per restart
     starts = np.vstack([np.full((1, n), 1.0 / n), raw / raw.sum(axis=1, keepdims=True)])
 
     best_p: np.ndarray | None = None
     best_w = -math.inf
     total_steps = 0
-    for p, w, steps in _spg_lockstep(starts, max_steps):
+    for p, w, steps in _spg_lockstep(starts, _SPG_MAX_STEPS):
         total_steps += steps
         if best_p is None or w > best_w + _payoff_floor(n, best_w):
             best_p, best_w = p, w
@@ -648,19 +645,18 @@ def best_symmetric(
     )
 
 
-def verify_ordering_inequality(p: Strategy, *, tol: float = 1e-9) -> bool:
+def verify_ordering_inequality(p: Strategy) -> bool:
     """Check the identity equating the first two win chances at equilibrium.
 
     Setting ``c_1 = c_2`` rearranges to
     ``(1 - p_2)^(n-1) - (1 - p_1)^(n-1) = (n-1) p_1 (1 - p_1 - p_2)^(n-2)``;
     the right side is positive for an interior strategy, which forces
-    ``p_2 < p_1``. Returns True when the identity holds within ``tol`` and
+    ``p_2 < p_1``. Returns True when the identity holds within ``1e-9`` and
     the ordering is strict. The uniform strategy fails it: the left side
     vanishes while the right side does not.
     """
-    _check_tol(tol)
     n = p.n
     p1, p2 = float(p.probs[0]), float(p.probs[1])
     lhs = (1.0 - p2) ** (n - 1) - (1.0 - p1) ** (n - 1)
     rhs = (n - 1) * p1 * (1.0 - p1 - p2) ** (n - 2)
-    return abs(lhs - rhs) <= tol and p2 < p1
+    return abs(lhs - rhs) <= _ORDERING_TOL and p2 < p1

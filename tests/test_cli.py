@@ -408,6 +408,17 @@ class TestOutputAndConfig:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        ("ne --n 5 --tol 1e-8", "--tol"),
+        ("ne --n 5 --max-iter 50", "--max-iter"),
+        ("bestsym --n 5 --restarts 2", "--restarts"),
+    ], ids=["ne-tol", "ne-max-iter", "bestsym-restarts"])
+    def test_effort_flags_refused(self, capsys, cache_file, argv, flag):
+        # the solvers' tolerance, iteration budget and start count are fixed
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and flag in err
+
 
 class TestProcess:
     """``python -m lupi.cli`` as its own process, the path scripts take."""

@@ -143,8 +143,9 @@ class TestSolveNE:
             solve_ne(2)
         with pytest.raises(ResourceLimitError):
             solve_ne(1001)
+        # the tolerance and the iteration budget are constants, not keywords
         for kwargs in ({"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1.0}, {"max_iter": -3}):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 solve_ne(5, **kwargs)
 
     def test_range_refused_before_the_start(self, monkeypatch):
@@ -170,8 +171,9 @@ class TestSolveNE:
         c_ne = solve_ne(n).c_ne
         assert 1.0 <= n * (1.0 / n - c_ne) / c_ne <= 1.2
 
-    def test_nonconvergence_reported_not_raised(self):
-        sol = solve_ne(9, max_iter=2)
+    def test_nonconvergence_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(lupi.solvers, "_NEWTON_MAX_ITER", 2)
+        sol = solve_ne(9)
         assert not sol.converged
         assert sol.iterations <= 2
         assert sol.residual > 1e-12
@@ -481,23 +483,30 @@ class TestBestSymmetric:
             alone, w_alone, steps_alone = _spg_lockstep([start], 500)[0]
             assert (p.tobytes(), w, steps) == (alone.tobytes(), w_alone, steps_alone)
 
-    def test_uniform_start_is_stationary(self):
-        opt = best_symmetric(7, restarts=0)
+    def test_uniform_start_is_stationary(self, monkeypatch):
+        monkeypatch.setattr(lupi.solvers, "_SPG_RESTARTS", 0)
+        opt = best_symmetric(7)
         assert np.array_equal(opt.strategy.probs, Strategy.uniform(7).probs)
         assert (opt.starts, opt.iterations) == (1, 1)
 
-    def test_step_budget(self):
-        opt = best_symmetric(8, restarts=4, max_steps=3)
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(lupi.solvers, "_SPG_RESTARTS", 4)
+        monkeypatch.setattr(lupi.solvers, "_SPG_MAX_STEPS", 3)
+        opt = best_symmetric(8)
         assert opt.starts == 5
         assert opt.iterations <= opt.starts * 3
 
     def test_validation(self):
-        for kwargs in ({"restarts": -1}, {"max_steps": -1}, {"seed": -1}, {"seed": 1.5}, {"seed": math.nan}):
+        # the starts and the step budget are constants, not keywords
+        for kwargs in ({"restarts": -1}, {"max_steps": -1}):
+            with pytest.raises(TypeError):
+                best_symmetric(5, **kwargs)
+        for kwargs in ({"seed": -1}, {"seed": 1.5}, {"seed": math.nan}):
             with pytest.raises(ValueError):
                 best_symmetric(5, **kwargs)
 
     def test_range_refused_before_the_starts(self, monkeypatch):
-        # the restarts + 1 O(n) starts are never built for an n the kernel
+        # the 11 O(n) starts are never built for an n the kernel
         # cannot serve
         monkeypatch.setattr(lupi.solvers.np.random, "default_rng", lambda seed: pytest.fail("starts built"))
         with pytest.raises(ResourceLimitError, match="cap n=1000"):
@@ -534,7 +543,8 @@ class TestBestSymmetric:
         # rounds take two calls each
         n = 80
         points = self._points_per_call(monkeypatch)
-        best_symmetric(n, max_steps=1)
+        monkeypatch.setattr(lupi.solvers, "_SPG_MAX_STEPS", 1)
+        best_symmetric(n)
         assert max(points) == lupi.winprob._STEP_BUDGET // (n * n) == 10
 
     def test_rows_split_across_calls_climb_as_alone(self, monkeypatch):
@@ -615,8 +625,8 @@ class TestOrderingInequality:
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_tol_validation(self, tol):
-        # tol=inf would pass any strategy with p_2 < p_1
-        with pytest.raises(ValueError):
+        # the bound is a constant: a caller's tol=inf would pass any strategy with p_2 < p_1
+        with pytest.raises(TypeError):
             verify_ordering_inequality(Strategy([0.5, 0.3, 0.2]), tol=tol)
 
 
@@ -662,3 +672,20 @@ class TestSizeCaps:
     def test_refused_above_the_cap(self, func, args, keyword, message):
         with pytest.raises(ResourceLimitError, match=f"^{message}$"):
             func(*args)
+
+
+class TestFixedEffort:
+    # the solvers' effort is fixed: a tolerance, iteration budget, start
+    # count or step budget that a caller could once pass is refused, also
+    # at a value that used to work
+    @pytest.mark.parametrize("func, args, keyword, value", [
+        pytest.param(solve_ne, (5,), "tol", 1e-8, id="solve_ne-tol"),
+        pytest.param(solve_ne, (5,), "max_iter", 50, id="solve_ne-max_iter"),
+        pytest.param(best_symmetric, (5,), "restarts", 2, id="best_symmetric-restarts"),
+        pytest.param(best_symmetric, (5,), "max_steps", 10, id="best_symmetric-max_steps"),
+        pytest.param(verify_ordering_inequality, (Strategy(NE3_PROBS),), "tol", 1e-6,
+                     id="verify_ordering_inequality-tol"),
+    ])
+    def test_effort_keyword_refused(self, func, args, keyword, value):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            func(*args, **{keyword: value})
