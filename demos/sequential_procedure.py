@@ -6,8 +6,9 @@ equilibrium win value c_0 were known, the probabilities could be peeled
 off one by one: c_1 = c_0 fixes p_1 in closed form, substituting it into
 c_2 = c_0 fixes p_2, and so on. A wrong guess for c_0 betrays itself:
 too small and the probabilities overrun total mass 1, too large and they
-cannot reach it. That signal drives a bisection to the self-consistent
-value, and stopping the chain early still brackets it from both sides.
+cannot reach it. That signal drives a walk to the self-consistent value,
+bisecting until the complete chains' leftover mass can be interpolated,
+and stopping the chain early still brackets it from both sides.
 """
 
 import lupi
@@ -48,8 +49,9 @@ def main():
     print(f"  depth 5: c0 in [{deeper.lower:.4f}, {deeper.upper:.4f}]  (narrower)")
 
     found = lupi.find_cne_sequential(9)
-    print(f"\nBisecting to self-consistency: c_NE = {found.c_ne:.8f}")
-    print(f"  simultaneous Newton value:    c_NE = {sol.c_ne:.8f}")
+    print(f"\nWalking to self-consistency: c_NE = {found.c_ne:.8f}"
+          f"  ({found.iterations} chain runs)")
+    print(f"  simultaneous Newton value:  c_NE = {sol.c_ne:.8f}")
     print(f"  total-mass closure error of the chain: {found.sum_error:.1e}")
 
 

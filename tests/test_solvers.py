@@ -295,7 +295,8 @@ class TestTailRoot:
         assert residual == 0.1 - 0.04
 
     def test_chain_steps_take_few_evaluations(self, monkeypatch):
-        # two endpoint values and a few Newton steps per root
+        # two endpoint values and a few Newton steps per root, over the
+        # chains of the walks at n = 9..12
         calls, fixed = 0, 0
 
         class Counted(PrefixChance):
@@ -310,7 +311,8 @@ class TestTailRoot:
                 super().fix(tail)
 
         monkeypatch.setattr(lupi.solvers, "PrefixChance", Counted)
-        find_cne_sequential(12)
+        for n in range(9, 13):
+            find_cne_sequential(n)
         assert fixed > 200 and calls <= 8 * fixed
 
     def test_bound_runs_each_chain_once(self, monkeypatch):
@@ -385,6 +387,72 @@ class TestFindCneSequential:
             find_cne_sequential(3)
 
 
+class TestGuidedWalk:
+    # (n, tol): the points the plain bisection on c0 took before the walk
+    # was guided by interpolation on its complete chains
+    BISECTION_POINTS = {
+        **{(n, 1e-8): k for n, k in zip(range(3, 13), (54, 26, 31, 29, 28, 30, 27, 29, 31, 31))},
+        **{(n, 1e-13): k for n, k in zip(
+            [*range(3, 13), 15, 20, 25, 30, 40, 50, 60, 80, 100],
+            (54, 43, 47, 46, 46, 46, 47, 47, 47, 48, 46, 50, 48, 48, 49, 48, 47, 43, 50),
+        )},
+        **{(n, 0.0): 54 for n in (3, 5, 9, 12, 20)},
+    }
+
+    @staticmethod
+    def staged_linear(n, c0, depth):
+        # T_n = 10 (c0 - 0.1): complete above 0.1, too small below it
+        if c0 < 0.1:
+            entries = [SequentialEntry(1, 0.5, "real-root", 0.0), SequentialEntry(2, None, "no-real-root", 0.1)]
+            return SequentialResult(c0, entries, [0.5], too_small=True)
+        entries = [SequentialEntry(i, p, "real-root", 0.0) for i, p in ((1, 0.5), (2, 0.25), (3, 0.25))]
+        return SequentialResult(c0, entries, [0.5, 0.25, 10.0 * (c0 - 0.1)])
+
+    def test_points_at_the_benchmark_sizes(self):
+        points = {n: find_cne_sequential(n).iterations for n in range(9, 13)}
+        assert points == {9: 14, 10: 12, 11: 12, 12: 11}
+        assert max(points.values()) <= 16
+
+    def test_never_more_points_than_bisection(self):
+        points = {case: find_cne_sequential(*case).iterations for case in self.BISECTION_POINTS}
+        for case, bisection in self.BISECTION_POINTS.items():
+            assert points[case] <= bisection, case
+        assert sum(points.values()) <= sum(self.BISECTION_POINTS.values()) / 2
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_agrees_with_newton_at_tight_tol(self, n):
+        assert abs(find_cne_sequential(n, tol=1e-13).c_ne - solve_ne(n).c_ne) <= 1e-13
+
+    def test_trace_lists_every_point(self):
+        found = find_cne_sequential(9)
+        assert len(found.trace) == found.iterations
+        assert found.trace[-1] == (found.c_ne, "large")
+        assert found.trace[0] == (0.5, "large")
+        assert {side for _, side in found.trace} == {"large", "small"}
+
+    def test_linear_leftover_found_by_interpolation(self, monkeypatch):
+        # the walk bisects until it has two complete chains, at 0.5 and
+        # 0.25; through them the secant lands on the linear leftover's aim
+        monkeypatch.setattr(lupi.solvers, "_run_chain", self.staged_linear)
+        found = find_cne_sequential(3)
+        assert found.trace[:2] == [(0.5, "large"), (0.25000000049999999, "large")]
+        assert found.iterations <= 2 + 2
+        assert 0.0 <= found.sum_error <= 1e-8 and 0.1 <= found.c_ne <= 0.1 + 1e-9
+
+    def test_constant_leftover_takes_the_bisection_midpoints(self, monkeypatch):
+        # no two complete chains differ in T_n, so the guide never proposes
+        # a point and the walk is the plain bisection to the end
+        def staged(n, c0, depth):
+            run = self.staged_linear(n, c0, depth)
+            return run if run.too_small else SequentialResult(c0, run.entries, [0.5, 0.25, 0.4])
+
+        monkeypatch.setattr(lupi.solvers, "_run_chain", staged)
+        found = find_cne_sequential(3)
+        bisection = lupi.solvers._c0_walk(lambda c0: c0 >= 0.1, 1e-16)
+        assert found.trace == [(mid, "large" if large else "small") for mid, large in bisection]
+        assert found.c_ne == min(mid for mid, side in found.trace if side == "large")
+
+
 class TestBoundC0:
     def test_contains_equilibrium_value(self):
         for n in range(3, 13):
@@ -404,6 +472,11 @@ class TestBoundC0:
         shallow = bound_c0(9, 4)
         deeper = bound_c0(9, 5)
         assert shallow.lower <= deeper.lower and deeper.upper <= shallow.upper
+
+    def test_endpoints_are_the_bisection_midpoints(self):
+        # bound_c0 walks plain dyadic midpoints, never interpolated ones
+        assert (bound_c0(9, 4).lower, bound_c0(9, 4).upper) == (0.07751464928247073, 0.14685058664379885)
+        assert (bound_c0(12, 6).lower, bound_c0(12, 6).upper) == (0.07244873132385254, 0.09527587971569826)
 
     def test_full_depth_pins_the_value(self):
         # the default tol, and one below which the width is no longer tol's
