@@ -46,11 +46,13 @@ def require_int(name: str, value, lo: int, hi: int | None = None) -> int:
     """``value`` as an ``int`` in ``lo..hi`` (no upper end when ``hi`` is None).
 
     Raises ``ValueError`` naming ``name`` and the range for anything else: a
-    value out of range, a non-integral number, NaN, infinity or a non-number.
+    value out of range, a non-integral number, NaN, infinity, a non-number or
+    a boolean, Python's or numpy's (told by its dtype, so numpy is not needed).
     """
+    boolean = isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b"
     try:
         as_int = int(value)
-        integral = bool(as_int == value)
+        integral = not boolean and bool(as_int == value)
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral or as_int < lo or (hi is not None and as_int > hi):

@@ -23,13 +23,16 @@ CDF of the strategy on right-closed intervals: with ``u`` uniform on
 ``k`` whose cumulative probability is ``>= v``, so zero-probability numbers
 are never picked.
 
-The rounds are cut into contiguous spans, at most one per usable CPU, and
-each span runs on its own thread (numpy releases the GIL in the Philox fill
-and in the ufuncs). Philox is counter-based, so a span starting at round
-``r`` enters the stream directly at counter ``r * n / 4`` and draws exactly
-what one pass over all rounds would. Everything downstream is integer
-counting, summed over spans, so every count and estimate depends on the
-seed alone, not on the CPU count, the spans or the blocks.
+The rounds are cut into contiguous spans, at most one per usable CPU. A run
+of two or more spans hands them to the standard library's thread pool, one
+worker per span (numpy releases the GIL in the Philox fill and in the
+ufuncs); only such a run imports the pool, so neither a one-span run nor
+the import of this module loads it. Philox is counter-based, so a span
+starting at round ``r`` enters the stream directly at counter ``r * n / 4``
+and draws exactly what one pass over all rounds would. Everything
+downstream is integer counting, summed over spans, so every count and
+estimate depends on the seed alone, not on the CPU count, the spans or the
+blocks.
 
 Up to ``n = 64`` a pick is the count of ``k < n - 1`` with ``cum_k < v``,
 and the winner is the lowest bit of a ``uint64`` mask of the numbers picked
@@ -42,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -262,42 +264,16 @@ def _span_counts(
     return chosen_counts, win_counts
 
 
-def _in_threads(run, jobs: list[tuple]) -> list:
-    """``[run(*job) for job in jobs]``, one thread per job.
-
-    The calling thread runs the first job and only ``len(jobs) - 1`` threads
-    are started. An exception in any thread is raised here once all have
-    finished.
-    """
-    results: list = [None] * len(jobs)
-    errors: list[BaseException] = []
-
-    def work(j: int) -> None:
-        try:
-            results[j] = run(*jobs[j])
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(j,)) for j in range(1, len(jobs))]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def simulate(pi: Strategy, p: Strategy, rounds: int, seed: int) -> SimulationStats:
     """Play ``rounds`` games: ``n - 1`` opponents on ``p``, observed player on ``pi``.
 
     Fully reproducible from ``seed``: every round draws from the one
     Philox stream keyed ``(seed, 0)``. The rounds are cut into contiguous
-    spans, at most one per usable CPU, each on its own thread; a span
-    enters the stream at its first round's Philox counter, so the result is
-    the same for any CPU count. A run shorter than ``2 * _MIN_SPAN_ROUNDS``
-    rounds stays on the calling thread.
+    spans, at most one per usable CPU, run by a thread pool with one worker
+    per span; a span enters the stream at its first round's Philox counter,
+    so the result is the same for any CPU count. A run shorter than
+    ``2 * _MIN_SPAN_ROUNDS`` rounds is one span, counted on the calling
+    thread without the pool.
 
     Args:
         pi: Strategy of the observed player.
@@ -319,8 +295,15 @@ def simulate(pi: Strategy, p: Strategy, rounds: int, seed: int) -> SimulationSta
     cum_pi = np.cumsum(pi.probs)
     cum_p[-1] = cum_pi[-1] = 1.0  # close the last interval exactly
 
+    count = functools.partial(_span_counts, cum_p, cum_pi, seed)
     spans = _spans(rounds, _usable_cpus())
-    parts = _in_threads(functools.partial(_span_counts, cum_p, cum_pi, seed), spans)
+    if len(spans) == 1:
+        parts = [count(*spans[0])]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # paid only by runs that start threads
+
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+            parts = list(pool.map(count, *zip(*spans)))
     # integer sums: the same counts in any order, for any CPU count
     chosen_counts = sum(chosen for chosen, _ in parts)
     win_counts = sum(wins for _, wins in parts)

@@ -69,14 +69,18 @@ class NESolution:
     """A solved symmetric equilibrium.
 
     ``residual`` is the largest spread ``|c_i - c_n|`` over the numbers at
-    the returned strategy; ``converged`` means it met the solver tolerance.
+    the returned strategy; ``converged`` tells whether it is at most
+    :data:`lupi.config.NE_TOL`, the solver's tolerance.
     """
 
     strategy: Strategy
     c_ne: float
     residual: float
     iterations: int
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        return self.residual <= NE_TOL
 
     def to_json_obj(self) -> dict:
         return {
@@ -162,14 +166,18 @@ class SelfConsistentSolution:
     """Equilibrium located by walking the sequential chain's ``c0``.
 
     ``trace`` lists the walk's points as ``(c0, "large" | "small")`` pairs,
-    one per iteration, as :class:`ClassificationError` carries them.
+    one per iteration, as :class:`ClassificationError` carries them;
+    ``iterations`` is their count.
     """
 
     c_ne: float
     strategy: Strategy
     sum_error: float
-    iterations: int
     trace: list[tuple[float, str]]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 @dataclass(frozen=True)
@@ -285,13 +293,11 @@ def solve_ne(n: int) -> NESolution:
         if not moved:
             break
 
-    residual = float(np.max(np.abs(f)))
     return NESolution(
         strategy=Strategy(p),
         c_ne=float(np.mean(c)),
-        residual=residual,
+        residual=float(np.max(np.abs(f))),
         iterations=iterations,
-        converged=residual <= NE_TOL,
     )
 
 
@@ -489,9 +495,7 @@ def find_cne_sequential(
         )
     probs = np.array(run.found)
     probs[n - 1] = run.tails[n - 2]
-    return SelfConsistentSolution(
-        c_ne=c0, strategy=Strategy(probs), sum_error=run.tails[-1], iterations=len(trace), trace=trace
-    )
+    return SelfConsistentSolution(c_ne=c0, strategy=Strategy(probs), sum_error=run.tails[-1], trace=trace)
 
 
 def bound_c0(

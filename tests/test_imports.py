@@ -79,12 +79,28 @@ class TestLazyExports:
         assert proc.returncode == 0, proc.stderr
 
     def test_oracle_import_loads_no_thread_pool(self):
-        # the simulator's threads come from ``threading``; the pool module
-        # would add its import time to every process that loads the oracle
+        # only a simulation of two or more spans imports the pool; loading
+        # it here would add its import time to every process with the oracle
         proc = run_fresh(
             "import sys\n"
             "import lupi.oracle\n"
             "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_only_a_split_simulation_loads_the_thread_pool(self):
+        # two fake CPUs and 4-round minimum spans: 7 rounds are one span on
+        # the calling thread, 8 rounds two spans on the pool
+        proc = run_fresh(
+            "import sys\n"
+            "from lupi import Strategy, oracle\n"
+            "oracle._usable_cpus = lambda: 2\n"
+            "oracle._MIN_SPAN_ROUNDS = 4\n"
+            "u = Strategy.uniform(3)\n"
+            "oracle.simulate(u, u, 7, seed=1)\n"
+            "assert 'concurrent.futures' not in sys.modules, 'a one-span run loaded the pool'\n"
+            "oracle.simulate(u, u, 8, seed=1)\n"
+            "assert 'concurrent.futures' in sys.modules, 'a two-span run did not load the pool'\n"
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -110,15 +111,16 @@ def sparse_and_uniform(n):
 
 @pytest.fixture
 def thread_calls(monkeypatch):
-    """Span count of every run the simulator hands to its threads."""
+    """Span count of every simulator run: a run of one span starts no thread."""
     calls = []
-    in_threads = oracle._in_threads
+    spans = oracle._spans
 
-    def spy(run, jobs):
-        calls.append(len(jobs))
-        return in_threads(run, jobs)
+    def spy(rounds, cpus):
+        cut = spans(rounds, cpus)
+        calls.append(len(cut))
+        return cut
 
-    monkeypatch.setattr(oracle, "_in_threads", spy)
+    monkeypatch.setattr(oracle, "_spans", spy)
     return calls
 
 
@@ -154,6 +156,9 @@ class TestExactWinProb:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             exact_win_prob(0, Strategy.uniform(3))
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError):
+                exact_win_prob(flag, Strategy.uniform(3))
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_bitwise_equal_to_recursion(self, n):
@@ -335,16 +340,29 @@ class TestSimulate:
         assert stats.to_json_obj() == reference
         assert thread_calls == [1, 8]
 
-    def test_thread_error_reaches_caller(self):
-        # job 3 of 6 runs on a started thread, not the caller's
-        def run(j):
-            if j == 3:
-                raise ValueError("job 3")
-            return j
+    def test_thread_error_reaches_caller(self, monkeypatch):
+        # six fake CPUs cut 72 rounds into spans starting at 0, 12, ..., 60;
+        # the span at round 12 fails on a pool worker, not the caller's thread
+        u = Strategy.uniform(5)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+        reference = simulate(u, u, 72, seed=5).to_json_obj()
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 6)
+        monkeypatch.setattr(oracle, "_MIN_SPAN_ROUNDS", 4)
+        span_counts = oracle._span_counts
+        failed_on = []
 
-        with pytest.raises(ValueError, match="job 3"):
-            oracle._in_threads(run, [(j,) for j in range(6)])
-        assert oracle._in_threads(lambda j: j, [(j,) for j in range(6)]) == list(range(6))
+        def failing(cum_p, cum_pi, seed, first_round, span_rounds):
+            if first_round == 12:
+                failed_on.append(threading.current_thread())
+                raise ValueError("span at round 12")
+            return span_counts(cum_p, cum_pi, seed, first_round, span_rounds)
+
+        monkeypatch.setattr(oracle, "_span_counts", failing)
+        with pytest.raises(ValueError, match="span at round 12"):
+            simulate(u, u, 72, seed=5)
+        assert failed_on and failed_on[0] is not threading.current_thread()
+        monkeypatch.setattr(oracle, "_span_counts", span_counts)
+        assert simulate(u, u, 72, seed=5).to_json_obj() == reference
 
     def test_short_run_starts_no_thread(self, monkeypatch, thread_calls):
         # with eight CPUs, a run shorter than two minimum spans stays on the
@@ -444,6 +462,9 @@ class TestSimulate:
             simulate(u, Strategy.uniform(4), 10, seed=1)
         with pytest.raises(ValueError):
             simulate(u, u, 10.5, seed=1)
+        for flag in (True, np.True_):  # a boolean is not a seed, though int(True) == 1
+            with pytest.raises(ValueError, match="seed"):
+                simulate(u, u, 10, seed=flag)
         with pytest.raises(TypeError):  # one stream per seed: no shard count
             simulate(u, u, 10, seed=1, shards=1)
         # integral floats are accepted and reported as ints

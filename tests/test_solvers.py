@@ -141,6 +141,9 @@ class TestSolveNE:
     def test_validation(self):
         with pytest.raises(ValueError):
             solve_ne(2)
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError):
+                solve_ne(flag)
         with pytest.raises(ResourceLimitError):
             solve_ne(1001)
         # the tolerance and the iteration budget are constants, not keywords
@@ -246,6 +249,9 @@ class TestSequentialSolve:
             sequential_solve(3, 0.2, 0)
         with pytest.raises(ValueError):
             sequential_solve(3, 0.2, 4)
+        for flag in (True, np.True_):  # int(True) == 1, yet a boolean is no depth
+            with pytest.raises(ValueError, match="depth"):
+                sequential_solve(9, 0.0985, flag)
 
     def test_tails_are_the_solved_tail_masses(self):
         # each p_j is the step from the previous tail mass to the one solved
@@ -516,6 +522,9 @@ class TestBoundC0:
             bound_c0(5, 6)
         with pytest.raises(ValueError):
             bound_c0(5, 2.5)
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="depth"):
+                bound_c0(5, flag)
 
     def test_zero_tol_walk_ends(self):
         # below the spacing of doubles the walk ends once no double lies
@@ -574,7 +583,7 @@ class TestBestSymmetric:
         for kwargs in ({"restarts": -1}, {"max_steps": -1}):
             with pytest.raises(TypeError):
                 best_symmetric(5, **kwargs)
-        for kwargs in ({"seed": -1}, {"seed": 1.5}, {"seed": math.nan}):
+        for kwargs in ({"seed": -1}, {"seed": 1.5}, {"seed": math.nan}, {"seed": True}, {"seed": np.True_}):
             with pytest.raises(ValueError):
                 best_symmetric(5, **kwargs)
 

@@ -78,6 +78,9 @@ class TestWinProb:
             win_prob(0, s)
         with pytest.raises(ValueError):
             win_prob(4, s)
+        for flag in (True, np.True_):  # int(True) == 1, yet a boolean is no index
+            with pytest.raises(ValueError):
+                win_prob(flag, s)
 
 
 class TestOracleEquivalence:
