@@ -8,8 +8,8 @@ machinery around them:
 * :func:`sequential_solve` fixes a target win value ``c0`` and solves for
   ``p_1, p_2, ...`` one number at a time, each by a monotone Newton
   iteration in the remaining tail mass; :func:`find_cne_sequential`
-  walks ``c0`` until the chain's probabilities close to total mass 1,
-  interpolating on its complete chains with bisection as the safeguard,
+  walks ``c0`` from the Poisson-limit band until the chain's probabilities
+  close to total mass 1, interpolating, with bisection as the safeguard,
   and :func:`bound_c0` bisects ``c0`` to turn shallow chains into an
   interval for the equilibrium win value, which contains it down to
   ``tol`` of about ``1e-12``, as far as the chain's float classification
@@ -167,7 +167,8 @@ class SelfConsistentSolution:
 
     ``trace`` lists the walk's points as ``(c0, "large" | "small")`` pairs,
     one per iteration, as :class:`ClassificationError` carries them;
-    ``iterations`` is their count.
+    ``iterations`` is their count, and ``bracket`` the largest ``c0`` read
+    small and the smallest read large (``c_ne``), the walk's final bracket.
     """
 
     c_ne: float
@@ -178,6 +179,11 @@ class SelfConsistentSolution:
     @property
     def iterations(self) -> int:
         return len(self.trace)
+
+    @property
+    def bracket(self) -> tuple[float, float]:
+        small = max((c0 for c0, side in self.trace if side == "small"), default=_C0_LO)
+        return small, min(c0 for c0, side in self.trace if side == "large")
 
 
 @dataclass(frozen=True)
@@ -311,15 +317,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
 
 
-def _tail_root(at_tail, rest: float, c0: float) -> tuple[float | None, float, bool]:
+def _tail_root(at_tail, rest: float, c0: float, floor: float) -> tuple[float | None, float, bool]:
     """Root ``T`` of ``c(T) = c0`` on ``[0, rest]`` for an increasing ``c``.
 
-    ``at_tail(T)`` returns ``(c, dc/dT)``; ``c`` must have nonnegative
-    coefficients in ``T``, so ``h(s) = log c(e^s)`` is increasing and
-    convex. The endpoints classify: ``c(rest) < c0`` or ``c(0) > c0`` has
-    no root, and the endpoint's ``|c - c0|`` is the exact minimum over the
-    interval. Otherwise Newton's method descends from ``T = rest`` onto the
-    root and stops when ``T`` no longer decreases or ``c <= c0``. Each step
+    ``at_tail(T)`` returns ``(c, dc/dT)`` and ``floor`` is ``c(0)``; ``c``
+    must have nonnegative coefficients in ``T``, so ``h(s) = log c(e^s)``
+    is increasing and convex. The endpoints classify: ``c(rest) < c0`` or
+    ``floor > c0`` has no root, and the endpoint's ``|c - c0|`` is the
+    exact minimum over the interval. Otherwise Newton's method descends
+    from ``T = rest`` onto the root and stops when ``T`` no longer
+    decreases or ``c <= c0``. Each step
     takes the lower of the Newton points of ``c(T) = c0`` and of
     ``h(s) = log c0``: both functions are convex, so neither point passes
     the root. The step in ``log T`` stays long where ``c(rest)`` exceeds
@@ -334,7 +341,6 @@ def _tail_root(at_tail, rest: float, c0: float) -> tuple[float | None, float, bo
     c, slope = at_tail(tail)
     if c < c0:
         return None, c0 - c, True
-    floor = at_tail(0.0)[0]
     if floor > c0:
         return None, floor - c0, False
     log_c0 = math.log(c0)
@@ -358,7 +364,7 @@ def _run_chain(n: int, c0: float, depth: int) -> SequentialResult:
     for i in range(1, depth + 1):
         if i > 1:
             chance.fix(tail)
-            tail, residual, all_negative = _tail_root(chance.at_tail, chance.rest, c0)
+            tail, residual, all_negative = _tail_root(chance.at_tail, chance.rest, c0, chance.floor())
             if tail is None:
                 entries.append(SequentialEntry(i, None, NO_REAL_ROOT, residual))
                 too_small = not all_negative
@@ -368,26 +374,25 @@ def _run_chain(n: int, c0: float, depth: int) -> SequentialResult:
     return SequentialResult(c0, entries, tails, too_small)
 
 
-def _c0_walk(is_large, width: float, guide=None):
+def _c0_walk(is_large, width: float, guide=None, probes=()):
     """Walk the win value's bracket from ``(_C0_LO, _C0_HI)``, yielding
     each point and ``is_large(point)`` until the bracket is ``width`` wide
     or no double lies inside it.
 
-    Without ``guide`` every point is the midpoint, so walks of different
-    tests and depths visit the same dyadic midpoints until their side tests
-    differ. ``guide(lo, hi)`` proposes a point or None; the walk takes a
-    proposal strictly inside the bracket, else the midpoint. It asks only
-    while the bracket is at most ``2^(-k/2)`` of its start after ``k``
-    points, and not right after a proposal that read small, so it takes at
-    most twice the bisection's points, plus one.
+    Each point is the first of ``probes`` strictly inside the bracket, else
+    one ``guide(lo, hi)`` proposes strictly inside it, else the midpoint,
+    so walks without either visit the same dyadic midpoints until their
+    side tests differ. The guide is asked only while the bracket is at most
+    ``2^(-k/2)`` of its start after ``k`` points, so the walk takes at most
+    twice the bisection's points, plus one, plus the probes it takes.
     """
     lo, hi = _C0_LO, _C0_HI
-    taken, missed = 0, False
+    taken = 0
     while hi - lo > width:
-        on_pace = hi - lo <= (_C0_HI - _C0_LO) * 0.5 ** (0.5 * taken)
-        point = guide(lo, hi) if guide is not None and on_pace and not missed else None
-        guided = point is not None and lo < point < hi
-        if not guided:
+        point = next((p for p in probes if lo < p < hi), None)
+        if point is None and guide is not None and hi - lo <= (_C0_HI - _C0_LO) * 0.5 ** (0.5 * taken):
+            point = guide(lo, hi)
+        if point is None or not lo < point < hi:
             point = 0.5 * (lo + hi)
         large = is_large(point)
         yield point, large
@@ -397,7 +402,7 @@ def _c0_walk(is_large, width: float, guide=None):
             hi = point
         else:
             lo = point
-        taken, missed = taken + 1, guided and not large
+        taken += 1
 
 
 def sequential_solve(
@@ -445,45 +450,62 @@ def find_cne_sequential(
     too small, so the early stop ends on it); :class:`ClassificationError`
     is raised with the walk's trace if its chain is not complete.
 
-    On the complete side ``T_n`` is smooth, increasing, concave and nearly
-    linear in ``c0``. Once two complete chains are known, the walk proposes
-    the ``c0`` where ``T_n = 0.9 tol`` by inverse interpolation through the
-    newest three (quadratic) or two (secant), with bisection as the
-    safeguard, as in Brent's zero finder (*Algorithms for Minimization
-    without Derivatives*, 1973, ch. 4): 14, 12, 12 and 11 points at
-    ``n = 9..12``, where bisection took 27, 29, 31 and 31.
+    The walk opens on the Poisson-limit band ``(1/n)(1 - g/n)`` (Ostling et
+    al., *AEJ: Micro* 2011): ``g = 1.0``, then ``g = 1.2``, or ``1/n`` where
+    the upper end reads small (the band lies below ``c_NE`` at ``n <= 7``),
+    each classified like any point and taken only inside the bracket. A
+    large chain leaves mass no number takes (``T_n``, or the tail where it
+    stopped), smooth, increasing, concave and nearly linear in ``c0``; from
+    two such chains on, the walk aims at leftover ``0.9 tol`` by inverse
+    quadratic (newest three) or secant (newest two) interpolation, with
+    bisection as the safeguard, as in Brent's zero finder (1973, ch. 4). A
+    proposal read small adds no leftover, so the walk closes from both
+    sides: it steps up from that small end, or down from the large end
+    where no proposal lies inside, by twice the last quadratic-secant gap,
+    doubling the step while it stays on its side. With the probes it takes
+    at most twice the bisection's points plus three: 9, 8, 9 and 7 at
+    ``n = 9..12`` (bisection: 27, 29, 31, 31), 9 at ``n = 400``, ``tol=1e-13``.
 
     The assembled strategy takes the first ``n - 1`` chain probabilities
     and closes the last one with the remaining mass ``T_{n-1}``, which pins
     the one entry the near-tangent final equation resolves worst.
-    ``iterations`` counts the walk's points, and ``trace`` lists them.
+    ``iterations`` counts the walk's points, ``trace`` lists them, and
+    ``bracket`` is the walk's final bracket.
     """
     n = require_int("n", n, 3)
     _check_tol(tol)
     chain = functools.cache(lambda c0: _run_chain(n, c0, n))
-    known: list[tuple[float, float]] = []  # (T_n, c0) of each complete chain, oldest first
+    known: list[tuple[float, float]] = []  # (leftover, c0) of each large chain, oldest first
     aim = _GUIDE_AIM * tol
+    trace: list[tuple[float, str]] = []
+    last = {"point": None, "step": 0.0, "u": 0.0}  # the guide's last proposal
 
     def guide(lo: float, hi: float) -> float | None:
-        # inverse interpolation of c0 at T_n = aim: quadratic through the
-        # newest three, else the secant through the newest two
-        for size in (3, 2):
-            last = known[-size:]
-            if len({t for t, _ in last}) < size:  # too few chains, or two alike in T_n
-                continue
-            point = sum(c0 * math.prod((aim - u) / (t - u) for u, _ in last if u != t) for t, c0 in last)
-            if lo < point < hi:
-                return point
-        return None
+        point, side = trace[-1]
+        own = point == last["point"]
+        if not (own and side == "small"):
+            # inverse interpolation of c0 at leftover = aim: quadratic through
+            # the newest three, secant through the newest two (alike while
+            # only two are known)
+            fits = [sum(c0 * math.prod((aim - u) / (t - u) for u, _ in newest if u != t) for t, c0 in newest)
+                    for newest in (known[-3:], known[-2:]) if len({t for t, _ in newest}) == len(newest) > 1]
+            inside = [fit for fit in fits if lo < fit < hi]
+            if inside:
+                last.update(point=inside[0], step=0.0, u=abs(fits[0] - fits[-1]))
+                return inside[0]
+        # close from the side the last point fell on, doubling a step that stayed there
+        sign = 1.0 if side == "small" else -1.0
+        step = 2.0 * last["step"] if own and last["step"] * sign > 0.0 else 2.0 * sign * last["u"]
+        last.update(point=(lo if sign > 0.0 else hi) + step, step=step)
+        return last["point"]
 
-    walk = _c0_walk(lambda c0: not chain(c0).too_small, 1e-16, guide)
-    trace: list[tuple[float, str]] = []
-    for point, large in walk:
+    band = ((1.0 - 1.0 / n) / n, (1.0 - 1.2 / n) / n, 1.0 / n)
+    for point, large in _c0_walk(lambda c0: not chain(c0).too_small, 1e-16, guide, band):
         trace.append((point, "large" if large else "small"))
         run = chain(point)
-        if run.complete:
-            if run.tails[-1] <= tol:
-                break
+        if run.complete and run.tails[-1] <= tol:
+            break
+        if large:
             known.append((run.tails[-1], point))
     c0 = min((mid for mid, side in trace if side == "large"), default=None)
     run = None if c0 is None else chain(c0)

@@ -419,6 +419,15 @@ class PrefixChance:
             value = value * tail + a
         return value, slope
 
+    def floor(self) -> float:
+        """``c_i`` at ``T = 0``, the same to the bit as ``at_tail(0.0)[0]``
+        without its pass: the last coefficient, or the scaled form's
+        ``m = N`` term (0 where the table stops short of it)."""
+        if self._scaled:
+            k, base = self._weights
+            return float(self._table[1][-1] * np.exp(base[-1:])[0]) if k[-1] == 0 else 0.0
+        return self._coef[-1]
+
     def fix(self, tail: float) -> None:
         """Fix ``p_i = rest - tail``; the next number's remaining mass is
         ``tail``, the tail mass the caller solved for (no ``1 - sum p``)."""

@@ -1,6 +1,7 @@
 """Equilibrium solvers: the Newton route, the sequential route, their
 agreement, the interval bound, and the symmetric optimum."""
 
+import functools
 import math
 import time
 import warnings
@@ -222,7 +223,7 @@ class TestSequentialSolve:
         assert entry.status == "real-root"
         assert abs(entry.p_i - 7.560385e-4) <= 1e-9
         assert entry.residual <= 1e-12
-        tail, residual, _ = _tail_root(lambda t: (t, 1.0), 1.0, 0.99)
+        tail, residual, _ = _tail_root(lambda t: (t, 1.0), 1.0, 0.99, 0.0)
         assert 1.0 - tail == pytest.approx(0.01, abs=1e-15) and residual <= 1e-15
 
     def test_scaled_form_above_the_size_limit(self):
@@ -280,29 +281,32 @@ class TestTailRoot:
 
     def test_monomial_in_one_step(self):
         # log c is linear in log T: the first Newton step lands on the root,
-        # after the two endpoint evaluations and before the one that stops
+        # after the one endpoint evaluation (the floor c(0) comes with the
+        # call) and before the one that stops
         at_tail, calls = self.counted(lambda t: (t**5, 5 * t**4))
-        tail, residual, all_negative = _tail_root(at_tail, 0.8, 0.01)
-        assert calls[:2] == [0.8, 0.0]
-        assert calls[2] == pytest.approx(0.01**0.2, rel=1e-15)
+        tail, residual, all_negative = _tail_root(at_tail, 0.8, 0.01, 0.0)
+        assert calls[0] == 0.8
+        assert calls[1] == pytest.approx(0.01**0.2, rel=1e-15)
         assert tail == pytest.approx(0.01**0.2, rel=1e-15) and not all_negative
-        assert residual <= 1e-17 and len(calls) <= 4
+        assert residual <= 1e-17 and len(calls) <= 3
 
     def test_target_above_the_right_end(self):
         at_tail, calls = self.counted(lambda t: (0.1 + t * t, 2 * t))
-        tail, residual, all_negative = _tail_root(at_tail, 0.5, 0.4)
+        tail, residual, all_negative = _tail_root(at_tail, 0.5, 0.4, 0.1)
         assert tail is None and all_negative
         assert residual == 0.4 - (0.1 + 0.5 * 0.5)
         assert calls == [0.5]
 
     def test_target_below_the_left_end(self):
-        tail, residual, all_negative = _tail_root(lambda t: (0.1 + t * t, 2 * t), 0.5, 0.04)
+        tail, residual, all_negative = _tail_root(lambda t: (0.1 + t * t, 2 * t), 0.5, 0.04, 0.1)
         assert tail is None and not all_negative
         assert residual == 0.1 - 0.04
 
     def test_chain_steps_take_few_evaluations(self, monkeypatch):
-        # two endpoint values and a few Newton steps per root, over the
-        # chains of the walks at n = 9..12
+        # one endpoint value (the floor is read without a pass) and a few
+        # Newton steps per root, over the chains of the walks at n = 9..12;
+        # the walks open on the limit band, so their chains stop early
+        # (390 steps when they opened on the far midpoints 0.5, 0.25, ...)
         calls, fixed = 0, 0
 
         class Counted(PrefixChance):
@@ -319,7 +323,7 @@ class TestTailRoot:
         monkeypatch.setattr(lupi.solvers, "PrefixChance", Counted)
         for n in range(9, 13):
             find_cne_sequential(n)
-        assert fixed > 200 and calls <= 8 * fixed
+        assert 200 < fixed < 300 and calls <= 6 * fixed
 
     def test_bound_runs_each_chain_once(self, monkeypatch):
         runs = 0
@@ -372,11 +376,12 @@ class TestFindCneSequential:
             find_cne_sequential(5, tol=tol)
 
     def test_walk_closing_off_a_complete_chain_raises(self, monkeypatch):
-        # chains complete (leftover 0.4) from c0 = 0.5, large but incomplete
-        # on [0.3, 0.5), too small below: the walk closes on 0.3, where no
-        # chain completes, and the complete chain at 0.5 is no answer
+        # chains complete (leftover 0.4) from c0 = 1/3, large but incomplete
+        # on [0.3, 1/3), too small below: the walk opens on the band's upper
+        # end (small) and 1/3, closes on 0.3, where no chain completes, and
+        # the complete chain at 1/3 is no answer
         def staged(n, c0, depth):
-            if c0 >= 0.5:
+            if c0 >= 1 / 3:
                 entries = [SequentialEntry(i, p, "real-root", 0.0) for i, p in ((1, 0.3), (2, 0.3), (3, 0.0))]
                 return SequentialResult(c0, entries, [0.7, 0.4, 0.4])
             entries = [SequentialEntry(1, 0.3, "real-root", 0.0), SequentialEntry(2, None, "no-real-root", 0.1)]
@@ -385,7 +390,7 @@ class TestFindCneSequential:
         monkeypatch.setattr(lupi.solvers, "_run_chain", staged)
         with pytest.raises(ClassificationError) as info:
             find_cne_sequential(3)
-        assert info.value.trace[0] == (0.5, "large")
+        assert info.value.trace[:2] == [((1 - 1 / 3) / 3, "small"), (1 / 3, "large")]
         assert abs(min(mid for mid, side in info.value.trace if side == "large") - 0.3) <= 1e-15
         # no midpoint reads large: nothing to answer with
         monkeypatch.setattr(lupi.solvers, "_run_chain", lambda n, c0, depth: staged(n, 0.0, depth))
@@ -404,26 +409,59 @@ class TestGuidedWalk:
         )},
         **{(n, 0.0): 54 for n in (3, 5, 9, 12, 20)},
     }
+    # the same cases: the points the guided walk took before it opened on
+    # the Poisson-limit band and closed from both sides
+    GUIDED_POINTS = {
+        **{(n, 1e-8): k for n, k in zip(range(3, 13), (17, 8, 14, 10, 15, 12, 14, 12, 12, 11))},
+        **{(n, 1e-13): k for n, k in zip(
+            [*range(3, 13), 15, 20, 25, 30, 40, 50, 60, 80, 100],
+            (16, 9, 15, 11, 27, 12, 22, 13, 14, 17, 15, 19, 15, 13, 18, 14, 17, 21, 18),
+        )},
+        **dict(zip([(n, 0.0) for n in (3, 5, 9, 12, 20)], (17, 17, 29, 14, 15))),
+    }
 
     @staticmethod
-    def staged_linear(n, c0, depth):
-        # T_n = 10 (c0 - 0.1): complete above 0.1, too small below it
-        if c0 < 0.1:
-            entries = [SequentialEntry(1, 0.5, "real-root", 0.0), SequentialEntry(2, None, "no-real-root", 0.1)]
-            return SequentialResult(c0, entries, [0.5], too_small=True)
-        entries = [SequentialEntry(i, p, "real-root", 0.0) for i, p in ((1, 0.5), (2, 0.25), (3, 0.25))]
-        return SequentialResult(c0, entries, [0.5, 0.25, 10.0 * (c0 - 0.1)])
+    def linear(root):
+        # T_n = 10 (c0 - root): complete above root, too small below it
+        def staged(n, c0, depth):
+            if c0 < root:
+                entries = [SequentialEntry(1, 0.5, "real-root", 0.0), SequentialEntry(2, None, "no-real-root", 0.1)]
+                return SequentialResult(c0, entries, [0.5], too_small=True)
+            entries = [SequentialEntry(i, p, "real-root", 0.0) for i, p in ((1, 0.5), (2, 0.25), (3, 0.25))]
+            return SequentialResult(c0, entries, [0.5, 0.25, 10.0 * (c0 - root)])
+
+        return staged
+
+    @staticmethod
+    def band(n):
+        return (1 - 1 / n) / n, (1 - 1.2 / n) / n, 1 / n
+
+    @staticmethod
+    @functools.cache
+    def walk_points():
+        return {case: find_cne_sequential(*case).iterations for case in TestGuidedWalk.BISECTION_POINTS}
 
     def test_points_at_the_benchmark_sizes(self):
         points = {n: find_cne_sequential(n).iterations for n in range(9, 13)}
-        assert points == {9: 14, 10: 12, 11: 12, 12: 11}
+        assert points == {9: 9, 10: 8, 11: 9, 12: 7}
         assert max(points.values()) <= 16
 
     def test_never_more_points_than_bisection(self):
-        points = {case: find_cne_sequential(*case).iterations for case in self.BISECTION_POINTS}
+        points = self.walk_points()
         for case, bisection in self.BISECTION_POINTS.items():
             assert points[case] <= bisection, case
         assert sum(points.values()) <= sum(self.BISECTION_POINTS.values()) / 2
+
+    def test_never_more_points_than_the_walk_before_the_band(self):
+        points = self.walk_points()
+        for case, guided in self.GUIDED_POINTS.items():
+            assert points[case] <= guided, case
+        assert points[7, 1e-13] <= 17 and points[9, 1e-13] <= 17
+
+    def test_few_points_at_large_n(self):
+        # the walk before the band took 19 and 23 points here
+        assert find_cne_sequential(200, tol=1e-13).iterations <= 10
+        assert find_cne_sequential(400, tol=1e-13).iterations <= 10
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_agrees_with_newton_at_tight_tol(self, n):
@@ -433,29 +471,61 @@ class TestGuidedWalk:
         found = find_cne_sequential(9)
         assert len(found.trace) == found.iterations
         assert found.trace[-1] == (found.c_ne, "large")
-        assert found.trace[0] == (0.5, "large")
+        assert found.trace[:2] == [(self.band(9)[0], "large"), (self.band(9)[1], "small")]
         assert {side for _, side in found.trace} == {"large", "small"}
 
-    def test_linear_leftover_found_by_interpolation(self, monkeypatch):
-        # the walk bisects until it has two complete chains, at 0.5 and
-        # 0.25; through them the secant lands on the linear leftover's aim
-        monkeypatch.setattr(lupi.solvers, "_run_chain", self.staged_linear)
+    def test_bracket_is_the_final_bracket(self):
+        found = find_cne_sequential(9)
+        small, large = found.bracket
+        assert small == max(c0 for c0, side in found.trace if side == "small")
+        assert large == found.c_ne and small < solve_ne(9).c_ne < large
+
+    def test_both_band_ends_on_their_sides(self, monkeypatch):
+        # the root lies inside the band: its upper end reads large, its
+        # lower end small, and 1/n, above the bracket, is never taken
+        monkeypatch.setattr(lupi.solvers, "_run_chain", self.linear(0.21))
         found = find_cne_sequential(3)
-        assert found.trace[:2] == [(0.5, "large"), (0.25000000049999999, "large")]
-        assert found.iterations <= 2 + 2
+        assert found.trace[:2] == [(self.band(3)[0], "large"), (self.band(3)[1], "small")]
+        assert self.band(3)[2] not in dict(found.trace)
+        assert 0.21 <= found.c_ne <= 0.21 + 1e-9
+
+    def test_upper_band_end_reads_small(self, monkeypatch):
+        # the root lies above the band: 1/n comes next, and the lower end,
+        # now below the bracket, is never taken
+        monkeypatch.setattr(lupi.solvers, "_run_chain", self.linear(0.3))
+        found = find_cne_sequential(3)
+        assert found.trace[:2] == [(self.band(3)[0], "small"), (self.band(3)[2], "large")]
+        assert self.band(3)[1] not in dict(found.trace)
+        assert 0.3 <= found.c_ne <= 0.3 + 1e-9
+
+    def test_root_below_the_band(self, monkeypatch):
+        # both band ends read large; the walk goes on below the lower end
+        monkeypatch.setattr(lupi.solvers, "_run_chain", self.linear(0.05))
+        found = find_cne_sequential(3)
+        assert found.trace[:2] == [(self.band(3)[0], "large"), (self.band(3)[1], "large")]
+        assert self.band(3)[2] not in dict(found.trace)
+        assert 0.05 <= found.c_ne <= 0.05 + 1e-9
+
+    def test_linear_leftover_found_by_interpolation(self, monkeypatch):
+        # the band's two ends give two complete chains; through them the
+        # secant lands on the linear leftover's aim
+        monkeypatch.setattr(lupi.solvers, "_run_chain", self.linear(0.1))
+        found = find_cne_sequential(3)
+        assert found.trace[:2] == [(self.band(3)[0], "large"), (self.band(3)[1], "large")]
+        assert found.iterations <= 2 + 1
         assert 0.0 <= found.sum_error <= 1e-8 and 0.1 <= found.c_ne <= 0.1 + 1e-9
 
     def test_constant_leftover_takes_the_bisection_midpoints(self, monkeypatch):
         # no two complete chains differ in T_n, so the guide never proposes
-        # a point and the walk is the plain bisection to the end
+        # a point and the walk after the band is the plain bisection to the end
         def staged(n, c0, depth):
-            run = self.staged_linear(n, c0, depth)
+            run = self.linear(0.1)(n, c0, depth)
             return run if run.too_small else SequentialResult(c0, run.entries, [0.5, 0.25, 0.4])
 
         monkeypatch.setattr(lupi.solvers, "_run_chain", staged)
         found = find_cne_sequential(3)
-        bisection = lupi.solvers._c0_walk(lambda c0: c0 >= 0.1, 1e-16)
-        assert found.trace == [(mid, "large" if large else "small") for mid, large in bisection]
+        walk = lupi.solvers._c0_walk(lambda c0: c0 >= 0.1, 1e-16, probes=self.band(3))
+        assert found.trace == [(mid, "large" if large else "small") for mid, large in walk]
         assert found.c_ne == min(mid for mid, side in found.trace if side == "large")
 
 
@@ -483,6 +553,9 @@ class TestBoundC0:
         # bound_c0 walks plain dyadic midpoints, never interpolated ones
         assert (bound_c0(9, 4).lower, bound_c0(9, 4).upper) == (0.07751464928247073, 0.14685058664379885)
         assert (bound_c0(12, 6).lower, bound_c0(12, 6).upper) == (0.07244873132385254, 0.09527587971569826)
+        # full depth, where the two walks part below tol (3.6e-12 wide)
+        interval = bound_c0(11, 11, tol=1e-12)
+        assert (interval.lower, interval.upper) == (0.08230956089438315, 0.08230956089802113)
 
     def test_full_depth_pins_the_value(self):
         # the default tol, and one below which the width is no longer tol's

@@ -19,6 +19,7 @@ from lupi import (
     WinProbVector,
     exact_win_prob,
     expected_payoff,
+    sequential_solve,
     solve_ne,
     symmetric_payoff,
     uniform_asymptotic_win_prob,
@@ -602,6 +603,22 @@ class TestProductForm:
                 inline = _scaled_chance(chance._table, weights, log_tail)
                 assert [v.hex() for v in chance.at_tail(tail)] == [v.hex() for v in inline]
             chance.fix(math.fsum([1.0, *(-s.probs[:i])]))
+
+    @pytest.mark.parametrize("n", [12, 400, 401, 2000])
+    def test_floor_is_the_value_at_no_tail(self, n):
+        # the floor the chain's root finder reads, without a pass: the last
+        # coefficient, or above the product form the m = N term, the same
+        # bits as at_tail(0.0) at every step of chains on both sides of c_NE
+        # and of a prefix heavy enough that the m = N term is not 0
+        floors = []
+        chains = [sequential_solve(n, c0, min(n, 40)).tails for c0 in (0.3, 1.0 / n, 0.9 / n)]
+        for tails in [*chains, [0.5, 0.2, 0.05]]:
+            chance = PrefixChance(n)
+            for tail in tails:
+                chance.fix(tail)
+                floors.append(chance.floor())
+                assert floors[-1].hex() == chance.at_tail(0.0)[0].hex()
+        assert max(floors) > 0.0
 
     def test_constants_hold_one_binomial_row(self):
         # a view of the last row would keep the whole (n, n) table cached
