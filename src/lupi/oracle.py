@@ -35,9 +35,9 @@ estimate depends on the seed alone, not on the CPU count, the spans or the
 blocks.
 
 Up to ``n = 64`` a pick is the count of ``k < n - 1`` with ``cum_k < v``,
-and the winner is the lowest bit of a ``uint64`` mask of the numbers picked
-exactly once; above that a binary search and per-round counts give the same
-picks and winners.
+and the winner is the lowest bit of a mask of the numbers picked exactly
+once, in the narrowest unsigned word of ``n`` bits or more; above that a
+binary search and per-round counts give the same picks and winners.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def exact_win_prob(i: int, p: Strategy) -> float:
     for j in range(1, n - 1):
         weight *= powers[j][counts[j]]
     terms = ways * weight * powers[n - 1][counts[n - 1]]
-    return math.fsum(terms.tolist())
+    return math.fsum(memoryview(terms))
 
 
 @functools.lru_cache(maxsize=4)
@@ -186,16 +186,17 @@ def _threshold_picks(cum: np.ndarray, v: np.ndarray, out=None, below=None) -> np
 
 def _mask_winners(picks: np.ndarray, bits=None) -> np.ndarray:
     """Per round, whether the last row's player wins; ``picks`` is (players,
-    rounds) of 0-based numbers below 64. ``bits`` is a uint64 scratch array
-    of ``picks``' shape, allocated when not given."""
-    bits = np.left_shift(np.uint64(1), picks, dtype=np.uint64, out=bits)
+    rounds) of 0-based numbers below ``players <= 64``. ``bits`` is a scratch
+    array of its shape in the narrowest unsigned word of ``players`` bits."""
+    word = np.min_scalar_type((1 << len(picks)) - 1)
+    bits = np.left_shift(word.type(1), picks, dtype=word, out=bits)
     once = bits[0].copy()
     twice = np.zeros_like(once)
     for b in bits[1:]:
         twice |= once & b
         once |= b
     once &= ~twice  # numbers picked exactly once
-    return once & -once == bits[-1]  # lowest set bit, in two's complement
+    return once & -once == bits[-1]  # lowest set bit, in two's complement of any width
 
 
 def _usable_cpus() -> int:
@@ -232,10 +233,10 @@ def _span_counts(
     n = cum_p.size
     key = np.array([seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key, counter=first_round * n // 4))
-    chosen_counts = np.zeros(n, dtype=np.int64)
-    win_counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(2 * n, dtype=np.int64)  # lost rounds per pick in bins 0..n-1, won in n..2n-1
     block_rounds = min(_BLOCK_ROUNDS, max(1, _BLOCK_DRAWS // n), span_rounds)
-    masks = n <= 64  # a round's picks fit one uint64 mask
+    masks = n <= 64  # a round's picks fit one mask word, of n bits or more
+    word = np.min_scalar_type((1 << n) - 1)  # with masks, the narrowest word of n bits
     # draws, v, picks and, with masks, the compare scratch array
     dtypes = (float, float, np.uint8, bool) if masks else (float, float, np.intp)
     buffers = [np.empty(n * block_rounds, dtype=dtype) for dtype in dtypes]
@@ -252,16 +253,15 @@ def _span_counts(
             _threshold_picks(cum_p, v[:-1], picks[:-1], below[:-1])
             _threshold_picks(cum_pi, v[-1:], picks[-1:], below[-1:])
             # the draws are spent once v is formed: their buffer takes the bits
-            observed_won = _mask_winners(picks, draws.view(np.uint64).reshape(n, block))
+            observed_won = _mask_winners(picks, draws.view(word)[: n * block].reshape(n, block))
         else:
             picks[:-1] = np.searchsorted(cum_p, v[:-1])
             picks[-1] = np.searchsorted(cum_pi, v[-1])
             observed_won = _count_winners(picks)
-        observed = picks[-1]
-        chosen_counts += np.bincount(observed, minlength=n)
-        win_counts += np.bincount(observed[observed_won], minlength=n)
+        counts += np.bincount(picks[-1] + n * observed_won, minlength=2 * n)  # one count per block
         done += block
-    return chosen_counts, win_counts
+    lost, won = counts.reshape(2, n)
+    return lost + won, won
 
 
 def simulate(pi: Strategy, p: Strategy, rounds: int, seed: int) -> SimulationStats:

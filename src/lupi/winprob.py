@@ -32,7 +32,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,6 +51,10 @@ _SCALED_ABOVE = 400
 # C(m, k) p^k and k C(m, k) p^(k-1), m < n, p <= 1, stay below n 2^n, which
 # is finite in double precision up to n = 1014.
 _PRODUCT_N_MAX = 1000
+# Bytes of product-form constants kept between calls, least recently used
+# evicted first. One size holds about 16 n^2 bytes: solves swept over
+# n = 8..17 keep all ten sizes (about 30 KB), and two fit near n = 1000.
+_CONSTANTS_BUDGET = 1 << 25
 # Entries of the step matrices that one _kernel call builds at once, per
 # kind (steps, slopes): 512 KiB of doubles.
 _STEP_BUDGET = 1 << 16
@@ -109,7 +116,60 @@ class PayoffReport:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4)
+def _lru_by_bytes(budget: int):
+    """Like :func:`functools.lru_cache`, for a function of one argument that
+    returns a tuple of arrays, but bounded by their bytes, not their count.
+
+    The least recently used results are dropped while the kept ones hold
+    more than ``budget`` bytes, so a result larger than the budget alone is
+    returned but not kept. ``cache_info()`` and ``cache_clear()`` work as in
+    ``lru_cache``, ``maxsize`` being the budget. A hit takes no lock: it
+    reads and reorders the kept results in single atomic calls, so it costs
+    about a plain dictionary lookup; its count may miss a concurrent hit.
+    """
+
+    def decorate(fn):
+        kept: OrderedDict = OrderedDict()  # least recently used first
+        hits = misses = held = 0  # held: bytes of the kept results
+        lock = threading.Lock()  # serialises inserts, evictions and clearing
+
+        @functools.wraps(fn)
+        def cached(key):
+            nonlocal hits, misses, held
+            result = kept.get(key)
+            if result is not None:
+                hits += 1
+                try:
+                    kept.move_to_end(key)
+                except KeyError:  # dropped by another thread meanwhile
+                    pass
+                return result
+            result = fn(key)  # outside the lock: other sizes are served meanwhile
+            with lock:
+                misses += 1
+                if key not in kept:
+                    kept[key] = result
+                    held += sum(a.nbytes for a in result)
+                while held > budget:
+                    held -= sum(a.nbytes for a in kept.popitem(last=False)[1])
+            return result
+
+        def cache_clear() -> None:
+            nonlocal hits, misses, held
+            with lock:
+                kept.clear()
+                hits = misses = held = 0
+
+        cached.cache_info = lambda: SimpleNamespace(
+            hits=hits, misses=misses, maxsize=budget, currsize=len(kept)
+        )
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate
+
+
+@_lru_by_bytes(_CONSTANTS_BUDGET)
 def _product_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``C(N, m)``; indexed ``[m, m']`` with ``k = m - m'``: ``C(m, k)`` and
     ``k C(m, k)`` (zero where ``k < 0`` or ``k = 1``); and the exponents

@@ -102,6 +102,19 @@ def replay_counts(u, cum_p, cum_pi):
     return chosen, wins
 
 
+def uint64_mask_winners(picks):
+    """Whether the last column's player wins, per row of 0-based picks below
+    64, by one uint64 mask per row whatever the player count."""
+    bits = np.left_shift(np.uint64(1), picks.astype(np.uint64))
+    seen = np.zeros(len(picks), dtype=np.uint64)
+    repeated = seen.copy()
+    for column in bits.T:
+        repeated |= seen & column
+        seen |= column
+    unique = seen & ~repeated
+    return unique & (~unique + np.uint64(1)) == bits[:, -1]
+
+
 def sparse_and_uniform(n):
     """Opponent strategy with zero-probability numbers, observed player uniform."""
     raw = np.random.default_rng(n).random(n)
@@ -233,6 +246,41 @@ class TestSimulate:
                 profile = ChoiceProfile(tuple(int(v) + 1 for v in picks[row]), n)
                 result = lowest_unique_winner(profile)
                 assert by_counts[row] == by_mask[row] == (result is not None and result[0] == n)
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64])
+    def test_mask_word_edges(self, n):
+        # the mask word is the narrowest of n bits: uint8 to n = 8, uint16 to
+        # 16, uint32 to 32, uint64 to 64. Rows crowd the top numbers; the
+        # crafted ones put the observed player alone on number n, the word's
+        # top bit, winning, then beaten by a lone opponent on n - 1 and on 1
+        word = np.min_scalar_type((1 << n) - 1)
+        assert word.itemsize == {8: 1, 9: 2, 16: 2, 17: 4, 32: 4, 33: 8, 64: 8}[n]
+        rng = np.random.default_rng(n)
+        crafted = [[0] * (n - 1) + [n - 1], [0] * (n - 2) + [n - 2, n - 1], [1] * (n - 2) + [0, n - 1]]
+        picks = np.vstack(
+            (rng.integers(n - 3, n, size=(300, n)), rng.integers(0, n, size=(300, n)), crafted)
+        ).astype(np.uint8)
+        bits = np.empty((n, len(picks)), dtype=word)
+        by_mask = _mask_winners(np.ascontiguousarray(picks.T), bits)
+        assert by_mask[-3:].tolist() == [True, False, False]
+        assert (bits.T == np.left_shift(1, picks, dtype=np.uint64)).all()
+        assert (_mask_winners(np.ascontiguousarray(picks.T)) == by_mask).all()
+        assert (by_mask == uint64_mask_winners(picks)).all() and by_mask.any() and not by_mask.all()
+        for row, won in zip(picks, by_mask):
+            result = lowest_unique_winner(ChoiceProfile(tuple(int(v) + 1 for v in row), n))
+            assert won == (result is not None and result[0] == n)
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])
+    def test_span_counts_at_word_edges(self, n):
+        # a span's counts, its mask in the spent draws buffer, against the
+        # stream replayed by hand with the game rule
+        p, pi = sparse_and_uniform(n)
+        cum_p, cum_pi = np.cumsum(p.probs), np.cumsum(pi.probs)
+        cum_p[-1] = cum_pi[-1] = 1.0
+        chosen, wins = oracle._span_counts(cum_p, cum_pi, 5, 0, 600)
+        u = np.random.Generator(np.random.Philox(key=np.array([5, 0], dtype=np.uint64))).random((600, n))
+        assert (chosen.tolist(), wins.tolist()) == replay_counts(u, cum_p, cum_pi)
+        assert sum(wins) > 0
 
     def test_threshold_picks(self):
         # right-closed intervals: v == cum_k picks k, v = 1.0 picks the last
@@ -384,6 +432,21 @@ class TestSimulate:
         s = Strategy([Fraction(2, 5), Fraction(3, 10), Fraction(0), Fraction(1, 5), Fraction(1, 10)])
         stats = simulate(s, s, 100_000, seed=7)
         assert stats.win_counts == [5283, 5862, 0, 3373, 1737]
+
+    def test_golden_win_counts_wide_words(self):
+        # pinned counts where the mask is a uint32 (n = 20) and a uint64
+        # (n = 40) word; at 40 the opponents crowd numbers 1..4 and the
+        # observed player wins on 40, the top bit, in 990 rounds
+        u = Strategy.uniform(20)
+        assert simulate(u, u, 100_000, seed=20261020).win_counts == [
+            1818, 1190, 677, 441, 307, 170, 108, 54, 44, 25, 22, 10, 6, 1, 5, 0, 2, 0, 0, 0
+        ]
+        p = Strategy([Fraction(9, 40)] * 4 + [Fraction(1, 360)] * 36)
+        pi = Strategy([Fraction(1, 78)] * 39 + [Fraction(1, 2)])
+        assert simulate(pi, p, 100_000, seed=20261020).win_counts == [0] * 4 + [
+            1143, 1056, 880, 817, 712, 659, 625, 525, 493, 447, 426, 359, 339, 276, 251, 201, 219, 184,
+            195, 137, 139, 115, 118, 112, 98, 71, 60, 71, 66, 54, 39, 44, 40, 40, 36, 990,
+        ]
 
     def test_bitwise_reproducible(self):
         u = Strategy.uniform(3)

@@ -1,10 +1,13 @@
 """Closed-form evaluator against the enumeration oracle, the exact polynomial
 layer, finite differences, and the values the construction must reproduce."""
 
+import gc
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
+import weakref
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -17,6 +20,7 @@ from lupi import (
     ResourceLimitError,
     Strategy,
     WinProbVector,
+    best_symmetric,
     exact_win_prob,
     expected_payoff,
     sequential_solve,
@@ -625,6 +629,75 @@ class TestProductForm:
         binom_n = _product_constants(12)[0]
         assert binom_n.base is None and not binom_n.flags.writeable
         assert binom_n.tolist() == [math.comb(11, m) for m in range(12)]
+
+    def test_constants_cached_across_a_size_sweep(self):
+        # the sizes of repeated Newton solves and best_symmetric runs stay
+        # cached together: each is built once over three passes
+        _product_constants.cache_clear()
+        for _ in range(3):
+            for n in range(12, 18):
+                solve_ne(n)
+            for n in (8, 10):
+                best_symmetric(n)
+        info = _product_constants.cache_info()
+        assert (info.misses, info.currsize) == (8, 8)
+        assert info.hits > 8
+
+    def test_constants_cache_stays_within_its_budget(self):
+        # about 16 MB per size near n = 1000, so two fit the budget: once
+        # nothing else holds them, only the two most recently used stay alive
+        refs = {}
+
+        def use(n):
+            arrays = _product_constants(n)
+            refs[n] = [weakref.ref(a) for a in arrays]
+            return sum(a.nbytes for a in arrays)
+
+        def alive():
+            gc.collect()
+            return sorted(n for n, held in refs.items() if all(ref() is not None for ref in held))
+
+        _product_constants.cache_clear()
+        top = _PRODUCT_N_MAX
+        assert lupi.winprob._CONSTANTS_BUDGET // use(top) == 2
+        use(top - 1)
+        use(top)  # a hit: top - 1 is now the least recently used
+        use(top - 2)
+        assert alive() == [top - 2, top]
+        use(top - 3)
+        assert alive() == [top - 3, top - 2]
+        assert _product_constants.cache_info().currsize == 2
+        _product_constants.cache_clear()
+
+    def test_byte_cache_under_threads(self):
+        # more threads than cores trading the interpreter lock every
+        # microsecond over a cache with room for three of its six keys: every
+        # caller gets its own key's result, and evictions keep to the budget
+        size = 100  # float64 entries: 800 bytes per key
+        cached = lupi.winprob._lru_by_bytes(3 * 8 * size)(lambda k: (np.full(size, float(k)),))
+        errors = []
+
+        def hammer(offset):
+            try:
+                for j in range(2000):
+                    k = (j * 7 + offset) % 6
+                    assert cached(k)[0][0] == k
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        info = cached.cache_info()
+        assert 1 <= info.currsize <= 3 and info.misses >= 6
 
     def test_no_overflow_at_the_size_limit(self):
         n = _PRODUCT_N_MAX
