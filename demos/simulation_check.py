@@ -2,7 +2,7 @@
 """Monte Carlo validation of the analytic win chances.
 
 Actually plays the game: five opponents-and-observer tables, two million
-rounds, counter-based generator so every number in the run is reproducible
+rounds, one seeded random stream so every number in the run is reproducible
 from the seed. At the equilibrium every number should win equally often,
 and the conditional estimates should straddle the analytic value within
 a few standard errors.
@@ -18,10 +18,10 @@ SEED = 31415926535897932
 def main():
     sol = lupi.solve_ne(5)
     print(f"Five-player equilibrium: c_NE = {sol.c_ne:.6f}")
-    print(f"Playing {ROUNDS:,} rounds with everyone on that strategy "
-          f"(seed {SEED}, generator philox4x64-10)...\n")
+    print(f"Playing {ROUNDS:,} rounds with everyone on that strategy (seed {SEED})...")
 
     stats = lupi.simulate(sol.strategy, sol.strategy, ROUNDS, seed=SEED)
+    print(f"generator {stats.generator}\n")
     print("  i   times picked   est. win chance   std.err   pull (sigma)")
     for i in range(1, 6):
         est = stats.est_ci[i - 1]

@@ -13,23 +13,23 @@ where each ``i`` wins are kept, stored number-major, in a small cache; the
 full set of vectors is not. A call only raises its own rows' counts to
 powers and sums the terms.
 
-The simulation route actually plays the game. Randomness comes from the
-counter-based Philox 4x64 generator with 10 rounds, keyed by the 128-bit
-pair ``(seed, 0)``; uniform doubles are the generator's 53-bit
-variates, consumed round-major as one ``(rounds, n)`` matrix per block
-(opponent columns first, the observed player last). A pick is the inverse
-CDF of the strategy on right-closed intervals: with ``u`` uniform on
-``[0, 1)``, ``v = 1 - u`` lies in ``(0, 1]`` and the pick is the smallest
-``k`` whose cumulative probability is ``>= v``, so zero-probability numbers
-are never picked.
+The simulation route actually plays the game. Randomness comes from
+numpy's PCG64DXSM generator seeded by ``SeedSequence(seed)``, whose output
+numpy keeps stable across versions; uniform doubles are the generator's
+53-bit variates, one 64-bit output each, consumed round-major as one
+``(rounds, n)`` matrix per block (opponent columns first, the observed
+player last). A pick is the inverse CDF of the strategy on right-closed
+intervals: with ``u`` uniform on ``[0, 1)``, ``v = 1 - u`` lies in
+``(0, 1]`` and the pick is the smallest ``k`` whose cumulative probability
+is ``>= v``, so zero-probability numbers are never picked.
 
 The rounds are cut into contiguous spans, at most one per usable CPU. A run
 of two or more spans hands them to the standard library's thread pool, one
-worker per span (numpy releases the GIL in the Philox fill and in the
+worker per span (numpy releases the GIL in the generator's fill and in the
 ufuncs); only such a run imports the pool, so neither a one-span run nor
-the import of this module loads it. Philox is counter-based, so a span
-starting at round ``r`` enters the stream directly at counter ``r * n / 4``
-and draws exactly what one pass over all rounds would. Everything
+the import of this module loads it. PCG64DXSM can jump ahead, so a span
+starting at round ``r`` enters the stream directly at draw ``r * n`` and
+draws exactly what one pass over all rounds would. Everything
 downstream is integer counting, summed over spans, so every count and
 estimate depends on the seed alone, not on the CPU count, the spans or the
 blocks.
@@ -52,7 +52,7 @@ import numpy as np
 from .config import require_cap, require_int
 from .game import Strategy
 
-GENERATOR_NAME = "philox4x64-10"
+GENERATOR_NAME = "pcg64dxsm"
 _N_MAX = 10  # largest n enumerated: C(2n-2, n-1) occupancy vectors, 48,620 at n = 10
 
 # Rounds are simulated in blocks inside each span, of at most _BLOCK_ROUNDS
@@ -65,9 +65,8 @@ _N_MAX = 10  # largest n enumerated: C(2n-2, n-1) occupancy vectors, 48,620 at n
 _BLOCK_ROUNDS = 1 << 13
 _BLOCK_DRAWS = 1 << 17
 
-# Spans hold about this many rounds or more; it must be at least 4, so that
-# span starts, multiples of 4, stay distinct. A run shorter than two spans
-# starts no thread.
+# Spans hold about this many rounds or more; it must be at least 1, so that
+# span starts stay distinct. A run shorter than two spans starts no thread.
 _MIN_SPAN_ROUNDS = 1 << 15
 
 
@@ -99,9 +98,9 @@ def exact_win_prob(i: int, p: Strategy) -> float:
     Sums ``multinomial(n-1; k) * prod p_j^k_j`` over all occupancy vectors
     ``k`` of the opponents' picks with ``k_i = 0`` and no ``k_j = 1`` for
     ``j < i``: the rows of :func:`_win_rows` for ``i``, selected once per
-    ``n``, so a call only gathers the powers of its own rows. Exact up to
-    floating-point rounding, no algebra shared with the closed-form
-    evaluator.
+    ``n``, so a call only gathers the powers of its own rows. The terms are
+    rounded products; their sum is exactly rounded by :func:`_exact_sum`.
+    No algebra is shared with the closed-form evaluator.
     """
     n = p.n
     require_cap(n, _N_MAX, "enumeration")
@@ -109,14 +108,34 @@ def exact_win_prob(i: int, p: Strategy) -> float:
     counts, ways = _win_rows(n)[i - 1]
     # every term is (ways * p_1^k_1 * ... * p_(n-1)^k_(n-1)) * p_n^k_n, left
     # to right, with each power one scalar ``p_j ** k``; a skipped factor
-    # p_i^0 = 1.0 is exact, and fsum does not depend on the order of terms
+    # p_i^0 = 1.0 is exact, and the exact sum does not depend on their order
     probs = p.probs
     powers = np.array([[probs[j] ** k for k in range(n)] for j in range(n)])
     weight = powers[0][counts[0]]
     for j in range(1, n - 1):
         weight *= powers[j][counts[j]]
     terms = ways * weight * powers[n - 1][counts[n - 1]]
-    return math.fsum(memoryview(terms))
+    return _exact_sum(terms)
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """The exactly rounded sum of finite doubles, bit for bit ``math.fsum``.
+
+    ``np.frexp`` gives each term as ``m 2^e``; ``m 2^26`` splits into a
+    26-bit integer part and a 27-bit fraction, each summed per exponent by
+    one ``bincount``, exactly for fewer than ``2^26`` terms (enumeration has
+    at most 24,310). Python integers join the bins, and the one rounding is
+    Python's correctly rounded integer division.
+    """
+    mant, exp = np.frexp(terms)
+    mant *= 1 << 26
+    whole = np.floor(mant)
+    mant -= whole
+    low = int(exp.min())
+    bins = np.subtract(exp, low, dtype=np.intp)
+    parts = zip(np.bincount(bins, whole).tolist(), np.bincount(bins, mant).tolist())
+    total = sum(((int(w) << 27) + int(f * (1 << 27))) << b for b, (w, f) in enumerate(parts))
+    return float(total << low - 53) if low >= 53 else total / (1 << 53 - low)
 
 
 @functools.lru_cache(maxsize=4)
@@ -210,11 +229,11 @@ def _spans(rounds: int, cpus: int) -> list[tuple[int, int]]:
     """``(first_round, span_rounds)`` for every span of the run.
 
     The rounds are cut into at most ``cpus`` contiguous spans of about
-    ``_MIN_SPAN_ROUNDS`` rounds or more, each starting at a multiple of 4
-    rounds; a run shorter than two minimum spans is one span.
+    ``_MIN_SPAN_ROUNDS`` rounds or more; a run shorter than two minimum
+    spans is one span.
     """
     cuts = max(1, min(cpus, rounds // _MIN_SPAN_ROUNDS))
-    starts = [4 * (rounds * j // (4 * cuts)) for j in range(cuts)] + [rounds]
+    starts = [rounds * j // cuts for j in range(cuts)] + [rounds]
     return [(a, b - a) for a, b in zip(starts, starts[1:])]
 
 
@@ -223,16 +242,14 @@ def _span_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-number pick and win counts of the observed player over one span.
 
-    The span's draws start at round ``first_round`` of the Philox stream
-    keyed ``(seed, 0)``: each double takes one uint64 and each counter
-    step gives four, so with ``first_round`` a multiple of 4 the stream is
-    entered at counter ``first_round * n / 4``. Every block writes its
+    The span's draws start at round ``first_round`` of the PCG64DXSM stream
+    seeded by ``seed``: each double takes one 64-bit output, so the stream
+    is entered ``first_round * n`` outputs ahead. Every block writes its
     draws, picks and scratch arrays into buffers made once per span, a
     short last block into the front of each.
     """
     n = cum_p.size
-    key = np.array([seed, 0], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key, counter=first_round * n // 4))
+    rng = np.random.Generator(np.random.PCG64DXSM(seed).advance(first_round * n))
     counts = np.zeros(2 * n, dtype=np.int64)  # lost rounds per pick in bins 0..n-1, won in n..2n-1
     block_rounds = min(_BLOCK_ROUNDS, max(1, _BLOCK_DRAWS // n), span_rounds)
     masks = n <= 64  # a round's picks fit one mask word, of n bits or more
@@ -268,18 +285,18 @@ def simulate(pi: Strategy, p: Strategy, rounds: int, seed: int) -> SimulationSta
     """Play ``rounds`` games: ``n - 1`` opponents on ``p``, observed player on ``pi``.
 
     Fully reproducible from ``seed``: every round draws from the one
-    Philox stream keyed ``(seed, 0)``. The rounds are cut into contiguous
+    PCG64DXSM stream seeded by ``seed``. The rounds are cut into contiguous
     spans, at most one per usable CPU, run by a thread pool with one worker
-    per span; a span enters the stream at its first round's Philox counter,
-    so the result is the same for any CPU count. A run shorter than
-    ``2 * _MIN_SPAN_ROUNDS`` rounds is one span, counted on the calling
-    thread without the pool.
+    per span; a span jumps ahead to its first round's draws, so the result
+    is the same for any CPU count. A run shorter than ``2 *
+    _MIN_SPAN_ROUNDS`` rounds is one span, counted on the calling thread
+    without the pool.
 
     Args:
         pi: Strategy of the observed player.
         p: Strategy of the other ``n - 1`` players.
         rounds: Number of independent games, at least 1.
-        seed: 64-bit stream key.
+        seed: 64-bit stream seed.
 
     Returns:
         A :class:`SimulationStats` with per-number conditional win

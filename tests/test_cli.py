@@ -143,7 +143,7 @@ class TestSimulate:
         assert code1 == code2 == 0
         assert out1 == out2
         obj = json.loads(out1)
-        assert obj["generator"] == "philox4x64-10"
+        assert obj["generator"] == "pcg64dxsm"
         assert abs(obj["w_estimate"] - 8 / 27) <= 4 * obj["w_std_err"]
 
     def test_format_refused_before_the_run(self, capsys, cache_file, monkeypatch):

@@ -1,5 +1,6 @@
 """Enumeration oracle self-checks and simulator reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from lupi import (
     win_prob,
 )
 from lupi import oracle
-from lupi.oracle import _count_winners, _mask_winners, _threshold_picks, _win_rows
+from lupi.oracle import _count_winners, _exact_sum, _mask_winners, _threshold_picks, _win_rows
 
 
 def random_strategy(rng, n):
@@ -211,6 +212,44 @@ class TestExactWinProb:
         # k_1 = 0: every labeled outcome of n - 1 picks over the other n - 1 numbers
         assert int(rows[0][1].sum()) == (n - 1) ** (n - 1)
 
+    def test_exact_sum_equals_fsum(self):
+        # exactly rounded as fsum is, so equal in every bit, sign included
+        rng = np.random.default_rng(17)
+        tiny = np.nextafter(0.0, 1.0)
+        cases = [
+            np.zeros(7),
+            np.array([tiny, tiny, 3 * tiny, 2.0**-1022 - tiny, 2.0**-1030]),  # subnormals
+            np.concatenate(([1.0], np.full(10_000, 2.0**-60))),  # one large among many tiny
+            np.concatenate((np.full(999, 1e-300), [2.0**60], np.full(999, 1e-17))),
+            np.full(48_620, 0.1),
+            np.full(48_620, np.nextafter(1.0, 2.0)),
+        ]
+        for size in (1, 2, 100, 24_310):
+            cases.append(rng.random(size) ** 9)
+            cases.append(rng.standard_normal(size) * 2.0 ** rng.integers(-1060, 960, size) / size)
+        for terms in cases:
+            assert _exact_sum(terms).hex() == math.fsum(terms).hex()
+
+    def test_pinned_digest(self):
+        # the hex of every exact_win_prob at n = 3..10, eight strategies each
+        # with zero entries and entries of 1e-160 whose powers are subnormal,
+        # as the fsum of the same terms gave it
+        digest = hashlib.sha256()
+        for n in range(3, 11):
+            rng = np.random.default_rng(7000 + n)
+            cases = [rng.random(n) + 1e-3 for _ in range(4)]
+            cases.append(rng.random(n) + 1e-3)
+            cases[-1][[1, n - 1]] = 0.0
+            cases.append(rng.random(n) + 1e-3)
+            cases[-1][[0, n // 2]] = 1e-160
+            cases = [raw / raw.sum() for raw in cases]
+            cases += [np.array([1.0] + [0.0] * (n - 1)), np.full(n, 1.0 / n)]
+            for probs in cases:
+                s = Strategy(probs)
+                for i in range(1, n + 1):
+                    digest.update(exact_win_prob(i, s).hex().encode())
+        assert digest.hexdigest() == "44f5aad97cbab0bc66118825d71a2fa5662ba40532469fe782968d749bd66f43"
+
     def test_nothing_built_at_import(self):
         code = (
             "import lupi\n"
@@ -278,7 +317,7 @@ class TestSimulate:
         cum_p, cum_pi = np.cumsum(p.probs), np.cumsum(pi.probs)
         cum_p[-1] = cum_pi[-1] = 1.0
         chosen, wins = oracle._span_counts(cum_p, cum_pi, 5, 0, 600)
-        u = np.random.Generator(np.random.Philox(key=np.array([5, 0], dtype=np.uint64))).random((600, n))
+        u = np.random.Generator(np.random.PCG64DXSM(5)).random((600, n))
         assert (chosen.tolist(), wins.tolist()) == replay_counts(u, cum_p, cum_pi)
         assert sum(wins) > 0
 
@@ -319,7 +358,7 @@ class TestSimulate:
         stats = simulate(pi, p, rounds, seed=seed)
         cum_p, cum_pi = np.cumsum(p.probs), np.cumsum(pi.probs)
         cum_p[-1] = cum_pi[-1] = 1.0
-        u = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))).random((rounds, n))
+        u = np.random.Generator(np.random.PCG64DXSM(seed)).random((rounds, n))
         win_counts = [0] * n
         for row in u:
             choices = [int(np.searchsorted(cum_p, 1.0 - x, side="left")) + 1 for x in row[:-1]]
@@ -341,17 +380,30 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n", [5, 64, 65])
     def test_span_enters_stream_by_counter(self, n):
-        # a span started at round r by its Philox counter counts what the
-        # game rule gives on rows r: of the whole stream replayed by hand
+        # a span started at round r, a multiple of 4 or not, by jumping ahead
+        # r * n draws counts what the game rule gives on rows r: of the whole
+        # stream replayed by hand
         p, pi = sparse_and_uniform(n)
         cum_p, cum_pi = np.cumsum(p.probs), np.cumsum(pi.probs)
         cum_p[-1] = cum_pi[-1] = 1.0
-        seed, first, count = 2024, 4 * 257, 1000
-        chosen, wins = oracle._span_counts(cum_p, cum_pi, seed, first, count)
-        key = np.array([seed, 0], dtype=np.uint64)
-        u = np.random.Generator(np.random.Philox(key=key)).random((first + count, n))[first:]
-        assert (chosen.tolist(), wins.tolist()) == replay_counts(u, cum_p, cum_pi)
-        assert sum(wins) > 0
+        count = 1000
+        for seed, first in ((2024, 4 * 257), (2**64 - 1, 1031)):
+            chosen, wins = oracle._span_counts(cum_p, cum_pi, seed, first, count)
+            u = np.random.Generator(np.random.PCG64DXSM(seed)).random((first + count, n))[first:]
+            assert (chosen.tolist(), wins.tolist()) == replay_counts(u, cum_p, cum_pi)
+            assert sum(wins) > 0
+
+    @pytest.mark.parametrize("min_span", [1, 3, 64, 1 << 15])
+    def test_spans_cover_every_round(self, min_span, monkeypatch):
+        # distinct, contiguous spans of at least the minimum, at most one per CPU
+        monkeypatch.setattr(oracle, "_MIN_SPAN_ROUNDS", min_span)
+        for rounds in (1, 2, 5, 6, 7, 63, 64, 65, 1031, 30_001, 2 * min_span - 1, 2 * min_span, 10**6 + 3):
+            for cpus in (1, 2, 3, 6, 8):
+                spans = oracle._spans(rounds, cpus)
+                ends = [first + count for first, count in spans]
+                assert [first for first, _ in spans] == [0] + ends[:-1] and ends[-1] == rounds
+                assert 1 <= len(spans) <= cpus
+                assert min(count for _, count in spans) >= (min_span if len(spans) > 1 else 1)
 
     @pytest.mark.parametrize("n", [5, 12, 64, 65])
     def test_span_split_changes_no_count(self, n, monkeypatch, thread_calls):
@@ -427,25 +479,25 @@ class TestSimulate:
         # the pick rule or the winner count moves them
         u = Strategy.uniform(12)
         assert simulate(u, u, 200_000, seed=20261018).win_counts == [
-            6378, 3877, 2495, 1473, 910, 589, 390, 242, 145, 90, 55, 26
+            6557, 3862, 2422, 1498, 928, 580, 342, 227, 148, 89, 51, 37
         ]
         s = Strategy([Fraction(2, 5), Fraction(3, 10), Fraction(0), Fraction(1, 5), Fraction(1, 10)])
         stats = simulate(s, s, 100_000, seed=7)
-        assert stats.win_counts == [5283, 5862, 0, 3373, 1737]
+        assert stats.win_counts == [5201, 5984, 0, 3510, 1916]
 
     def test_golden_win_counts_wide_words(self):
         # pinned counts where the mask is a uint32 (n = 20) and a uint64
         # (n = 40) word; at 40 the opponents crowd numbers 1..4 and the
-        # observed player wins on 40, the top bit, in 990 rounds
+        # observed player wins on 40, the top bit, in 1059 rounds
         u = Strategy.uniform(20)
         assert simulate(u, u, 100_000, seed=20261020).win_counts == [
-            1818, 1190, 677, 441, 307, 170, 108, 54, 44, 25, 22, 10, 6, 1, 5, 0, 2, 0, 0, 0
+            1849, 1137, 731, 468, 243, 178, 118, 77, 53, 25, 11, 11, 6, 2, 0, 1, 3, 1, 0, 0
         ]
         p = Strategy([Fraction(9, 40)] * 4 + [Fraction(1, 360)] * 36)
         pi = Strategy([Fraction(1, 78)] * 39 + [Fraction(1, 2)])
         assert simulate(pi, p, 100_000, seed=20261020).win_counts == [0] * 4 + [
-            1143, 1056, 880, 817, 712, 659, 625, 525, 493, 447, 426, 359, 339, 276, 251, 201, 219, 184,
-            195, 137, 139, 115, 118, 112, 98, 71, 60, 71, 66, 54, 39, 44, 40, 40, 36, 990,
+            1133, 1057, 889, 835, 759, 725, 596, 530, 485, 463, 413, 376, 343, 310, 259, 230, 213, 196,
+            182, 172, 123, 131, 121, 113, 79, 87, 100, 65, 65, 61, 46, 49, 35, 35, 31, 1059,
         ]
 
     def test_bitwise_reproducible(self):
