@@ -44,6 +44,8 @@ EXIT_NUMERIC = 2
 
 NAMED_STRATEGIES = ("uniform", "zeng", "flitney", "ne")
 FIGURES = ("fig1", "fig1b", "fig2a", "fig2b", "fig3")
+# Most grid points per fig3 trace; every row is held in memory until it is written
+POINTS_MAX = 2**20
 
 
 class CliError(Exception):
@@ -352,7 +354,7 @@ def _figure_traces(args: argparse.Namespace) -> list[list[object]]:
     from .solvers import sequential_solve
     from .winprob import PrefixChance
 
-    n, points = args.n, require_int("--points", args.points, 1)
+    n, points = args.n, require_int("--points", args.points, 1, POINTS_MAX)
     depth = min(4, n) if args.depth is None else args.depth
     result = sequential_solve(n, args.c0, depth)
     rows: list[list[object]] = []

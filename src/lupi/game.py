@@ -30,9 +30,11 @@ class ChoiceProfile:
     n: int
 
     def __post_init__(self) -> None:
-        choices = tuple(require_int("choice", c, 1, self.n) for c in self.choices)
+        n = require_int("n", self.n, 1)
+        choices = tuple(require_int("choice", c, 1, n) for c in self.choices)
         if not choices:
             raise ValueError("a profile needs at least one player")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "choices", choices)
 
 

@@ -29,13 +29,9 @@ one walk over these tables gives every ``c_i = sum_m g[m] w_m`` asked for,
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,10 +47,6 @@ _SCALED_ABOVE = 400
 # C(m, k) p^k and k C(m, k) p^(k-1), m < n, p <= 1, stay below n 2^n, which
 # is finite in double precision up to n = 1014.
 _PRODUCT_N_MAX = 1000
-# Bytes of product-form constants kept between calls, least recently used
-# evicted first. One size holds about 16 n^2 bytes: solves swept over
-# n = 8..17 keep all ten sizes (about 30 KB), and two fit near n = 1000.
-_CONSTANTS_BUDGET = 1 << 25
 # Entries of the step matrices that one _kernel call builds at once, per
 # kind (steps, slopes): 512 KiB of doubles.
 _STEP_BUDGET = 1 << 16
@@ -116,79 +108,56 @@ class PayoffReport:
 # ---------------------------------------------------------------------------
 
 
-def _lru_by_bytes(budget: int):
-    """Like :func:`functools.lru_cache`, for a function of one argument that
-    returns a tuple of arrays, but bounded by their bytes, not their count.
-
-    The least recently used results are dropped while the kept ones hold
-    more than ``budget`` bytes, so a result larger than the budget alone is
-    returned but not kept. ``cache_info()`` and ``cache_clear()`` work as in
-    ``lru_cache``, ``maxsize`` being the budget. A hit takes no lock: it
-    reads and reorders the kept results in single atomic calls, so it costs
-    about a plain dictionary lookup; its count may miss a concurrent hit.
-    """
-
-    def decorate(fn):
-        kept: OrderedDict = OrderedDict()  # least recently used first
-        hits = misses = held = 0  # held: bytes of the kept results
-        lock = threading.Lock()  # serialises inserts, evictions and clearing
-
-        @functools.wraps(fn)
-        def cached(key):
-            nonlocal hits, misses, held
-            result = kept.get(key)
-            if result is not None:
-                hits += 1
-                try:
-                    kept.move_to_end(key)
-                except KeyError:  # dropped by another thread meanwhile
-                    pass
-                return result
-            result = fn(key)  # outside the lock: other sizes are served meanwhile
-            with lock:
-                misses += 1
-                if key not in kept:
-                    kept[key] = result
-                    held += sum(a.nbytes for a in result)
-                while held > budget:
-                    held -= sum(a.nbytes for a in kept.popitem(last=False)[1])
-            return result
-
-        def cache_clear() -> None:
-            nonlocal hits, misses, held
-            with lock:
-                kept.clear()
-                hits = misses = held = 0
-
-        cached.cache_info = lambda: SimpleNamespace(
-            hits=hits, misses=misses, maxsize=budget, currsize=len(kept)
-        )
-        cached.cache_clear = cache_clear
-        return cached
-
-    return decorate
+def _pascal(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pascal's table and the three tables :func:`_product_constants` views, at
+    width ``size``; by Pascal's rule row ``m`` of each is the same to the bit at every ``size > m``."""
+    binom = np.zeros((size, size))
+    binom[:, 0] = 1.0
+    for m in range(1, size):
+        binom[m, 1 : m + 1] = binom[m - 1, :m] + binom[m - 1, 1 : m + 1]
+    rows = np.arange(size)[:, None]
+    k = np.maximum(rows - np.arange(size), 0)  # where m < m' the mask below zeroes it
+    coef = np.where((rows >= np.arange(size)) & (k != 1), binom[rows, k], 0.0)
+    slope = coef * k
+    exponents = np.abs(np.arange(1.0 - size, size + 1.0))  # float: np.power casts no exponent
+    for arr in (binom, coef, slope, exponents):
+        arr.flags.writeable = False
+    return binom, coef, slope, exponents
 
 
-@_lru_by_bytes(_CONSTANTS_BUDGET)
+_tables: tuple[np.ndarray, ...] = ()  # _pascal at the largest size built so far
+_views: dict[int, tuple[np.ndarray, ...]] = {}  # _product_constants by n, over _tables
+
+
 def _product_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``C(N, m)``; indexed ``[m, m']`` with ``k = m - m'``: ``C(m, k)`` and
     ``k C(m, k)`` (zero where ``k < 0`` or ``k = 1``); and the exponents
     ``|t - (n - 1)|``, ``t = 0..2n-1``, of the power rows in :func:`_steps`,
-    whose first ``n`` are the ``N - m`` of the tail powers."""
+    whose first ``n`` are the ``N - m`` of the tail powers.
+
+    All four are read-only views of one :func:`_pascal` table set, built at
+    the largest ``n`` asked for so far and, when a larger one is asked for,
+    rebuilt at twice its size or ``n`` (capped at ``_PRODUCT_N_MAX``), which
+    empties the views kept by ``n``. At ``n = 1000`` the set holds 24 MB.
+    No lock is taken: the tables and the views are each replaced by one
+    assignment, so a thread racing a rebuild can only get or keep views of
+    the older, smaller set, whose entries are the same bits; such a race
+    costs memory while those views live, never a wrong value.
+    """
+    global _tables, _views
+    views = _views.get(n)
+    if views is not None:
+        return views
     require_cap(n, _PRODUCT_N_MAX, "the product form's binomial table")
-    binom = np.zeros((n, n))
-    binom[:, 0] = 1.0
-    for m in range(1, n):
-        binom[m, 1 : m + 1] = binom[m - 1, :m] + binom[m - 1, 1 : m + 1]
-    rows = np.arange(n)[:, None]
-    k = np.maximum(rows - np.arange(n), 0)  # where m < m' the mask below zeroes it
-    coef = np.where((rows >= np.arange(n)) & (k != 1), binom[rows, k], 0.0)
-    slope = coef * k
-    exponents = np.abs(np.arange(1.0 - n, n + 1.0))  # float: np.power casts no exponent
-    binom_n = binom[-1].copy()  # a view would keep the whole table alive in the cache
-    for arr in (binom_n, coef, slope, exponents):
-        arr.flags.writeable = False
-    return binom_n, coef, slope, exponents
+    tables = _tables
+    size = tables[0].shape[0] if tables else 0
+    if size < n:
+        size = min(max(n, 2 * size), _PRODUCT_N_MAX)
+        tables = _tables = _pascal(size)
+        _views = {}
+    binom, coef, slope, exponents = tables
+    views = _views[n] = binom[n - 1, :n], coef[:n, :n], slope[:n, :n], exponents[size - n : size + n]
+    return views
 
 
 def _steps(probs, n: int, out: np.ndarray | None = None, slopes: np.ndarray | None = None):

@@ -275,6 +275,7 @@ class TestBadInput:
         "ne --n 2",
         "bestsym --n 3 --restarts -1",
         "figure --which fig3 --n 5 --c0 0.2 --points -2",
+        "figure --which fig3 --n 5 --c0 0.2 --points 10000000000000",
         "figure --which fig3 --n 5 --c0 1.5",
         "figure --which fig9 --n-list 3",
         "simulate --n 3 --pi uniform --p uniform --rounds 0",

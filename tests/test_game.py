@@ -30,6 +30,15 @@ class TestLowestUniqueWinner:
         with pytest.raises(ValueError):  # not truncated to (1, 2, 3)
             ChoiceProfile((1.5, 2, 3), 3)
 
+    @pytest.mark.parametrize("n", [2.5, True, float("nan"), "5"])
+    def test_bad_range_rejected(self, n):
+        with pytest.raises(ValueError, match="n"):
+            ChoiceProfile((1,), n=n)
+
+    def test_range_stored_as_int(self):
+        profile = ChoiceProfile((1, 2), n=np.int64(2))
+        assert type(profile.n) is int and profile.n == 2
+
     def test_permutation_equivariance(self):
         rng = random.Random(1234)
         for _ in range(200):

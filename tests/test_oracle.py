@@ -255,8 +255,8 @@ class TestExactWinProb:
             "import lupi\n"
             "from lupi.oracle import _win_rows\n"
             "assert _win_rows.cache_info().currsize == 0\n"
-            "from lupi.winprob import _product_constants\n"
-            "assert _product_constants.cache_info().currsize == 0\n"
+            "from lupi.winprob import _tables, _views\n"
+            "assert _tables == () and _views == {}\n"
             "from lupi.polynomials import _outcome_terms\n"
             "assert _outcome_terms.cache_info().currsize == 0\n"
         )

@@ -4,10 +4,11 @@ layer, finite differences, and the values the construction must reproduce."""
 import gc
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
-import weakref
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -625,70 +626,74 @@ class TestProductForm:
         assert max(floors) > 0.0
 
     def test_constants_hold_one_binomial_row(self):
-        # a view of the last row would keep the whole (n, n) table cached
         binom_n = _product_constants(12)[0]
-        assert binom_n.base is None and not binom_n.flags.writeable
+        assert not binom_n.flags.writeable
         assert binom_n.tolist() == [math.comb(11, m) for m in range(12)]
 
-    def test_constants_cached_across_a_size_sweep(self):
-        # the sizes of repeated Newton solves and best_symmetric runs stay
-        # cached together: each is built once over three passes
-        _product_constants.cache_clear()
+    def test_constants_cached_across_a_size_sweep(self, monkeypatch):
+        # the sizes of repeated Newton solves and best_symmetric runs are
+        # views of one table set: built at n = 12, grown once to 24, and
+        # every later size a hit or a view of it
+        built = []
+        pascal = lupi.winprob._pascal
+
+        def counted(size):
+            built.append(size)
+            return pascal(size)
+
+        monkeypatch.setattr(lupi.winprob, "_pascal", counted)
+        monkeypatch.setattr(lupi.winprob, "_tables", ())
+        monkeypatch.setattr(lupi.winprob, "_views", {})
         for _ in range(3):
             for n in range(12, 18):
                 solve_ne(n)
             for n in (8, 10):
                 best_symmetric(n)
-        info = _product_constants.cache_info()
-        assert (info.misses, info.currsize) == (8, 8)
-        assert info.hits > 8
+        assert built == [12, 24]
+        views = lupi.winprob._views
+        assert sorted(views) == [8, 10, *range(12, 18)]
+        for kind, table in enumerate(lupi.winprob._tables):
+            assert all(v[kind].base is table for v in views.values())
 
-    def test_constants_cache_stays_within_its_budget(self):
-        # about 16 MB per size near n = 1000, so two fit the budget: once
-        # nothing else holds them, only the two most recently used stay alive
-        refs = {}
-
-        def use(n):
-            arrays = _product_constants(n)
-            refs[n] = [weakref.ref(a) for a in arrays]
-            return sum(a.nbytes for a in arrays)
-
-        def alive():
+    def test_constants_at_the_cap_stay_within_24_mib(self, monkeypatch):
+        # three (1000, 1000) tables of doubles and one exponent row, and
+        # nothing else held once they are built
+        monkeypatch.setattr(lupi.winprob, "_tables", ())
+        monkeypatch.setattr(lupi.winprob, "_views", {})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _product_constants(_PRODUCT_N_MAX)
             gc.collect()
-            return sorted(n for n, held in refs.items() if all(ref() is not None for ref in held))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for a in lupi.winprob._tables) <= held <= 24 * 2**20
 
-        _product_constants.cache_clear()
-        top = _PRODUCT_N_MAX
-        assert lupi.winprob._CONSTANTS_BUDGET // use(top) == 2
-        use(top - 1)
-        use(top)  # a hit: top - 1 is now the least recently used
-        use(top - 2)
-        assert alive() == [top - 2, top]
-        use(top - 3)
-        assert alive() == [top - 3, top - 2]
-        assert _product_constants.cache_info().currsize == 2
-        _product_constants.cache_clear()
-
-    def test_byte_cache_under_threads(self):
+    def test_constants_under_threads(self, monkeypatch):
         # more threads than cores trading the interpreter lock every
-        # microsecond over a cache with room for three of its six keys: every
-        # caller gets its own key's result, and evictions keep to the budget
-        size = 100  # float64 entries: 800 bytes per key
-        cached = lupi.winprob._lru_by_bytes(3 * 8 * size)(lambda k: (np.full(size, float(k)),))
+        # microsecond, each asking for growing sizes while the tables grow
+        # under them: every caller gets the bits of a fresh build at its n
+        sizes = range(3, 160)
+        fresh = {}
+        for n in sizes:
+            binom, *rest = lupi.winprob._pascal(n)
+            fresh[n] = bits((binom[-1], *rest))
+        monkeypatch.setattr(lupi.winprob, "_tables", ())
+        monkeypatch.setattr(lupi.winprob, "_views", {})
         errors = []
 
-        def hammer(offset):
+        def ask(offset):
             try:
-                for j in range(2000):
-                    k = (j * 7 + offset) % 6
-                    assert cached(k)[0][0] == k
+                for n in sizes[offset::3]:
+                    assert bits(_product_constants(n)) == fresh[n]
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
-            threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
+            threads = [threading.Thread(target=ask, args=(t % 3,)) for t in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -696,8 +701,30 @@ class TestProductForm:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
-        info = cached.cache_info()
-        assert 1 <= info.currsize <= 3 and info.misses >= 6
+
+    def test_kernel_bits_do_not_depend_on_the_table_size(self):
+        # values and Jacobians at n = 12 and 100 read off tables built at
+        # n = 1000 first, against a fresh process's, whose tables fit them
+        code = (
+            "import hashlib, sys\n"
+            "import numpy as np\n"
+            "from lupi.winprob import _kernel, _product_constants\n"
+            "if sys.argv[1] == 'large':\n"
+            "    _product_constants(1000)\n"
+            "digest = hashlib.sha256()\n"
+            "for n in (12, 100):\n"
+            "    raw = np.random.default_rng(n).random((3, n)) + 1e-3\n"
+            "    stack = raw / raw.sum(axis=1, keepdims=True)\n"
+            "    for probs in (stack, stack[0]):\n"
+            "        values, jac = _kernel(probs, n, n, jacobian=n)\n"
+            "        digest.update(_kernel(probs, n, n // 2).tobytes() + values.tobytes() + jac.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(lupi.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        run = [subprocess.run([sys.executable, "-c", code, side], check=True, env=env, capture_output=True, text=True)
+               for side in ("fresh", "large")]
+        assert run[0].stdout == run[1].stdout and len(run[0].stdout) == 65
 
     def test_no_overflow_at_the_size_limit(self):
         n = _PRODUCT_N_MAX
